@@ -88,9 +88,7 @@ def run_comparison(
         "naive_regions": naive_regions,
         "engine_batch": report.summary(),
         "engine_stats": engine.stats.as_dict(),
-        "cache_info": engine.cache_info(),
-        "prepared_info": engine.prepared_info(),
-        # The canonical (one-name-per-number) view of the same counters.
+        # Result-cache and prepared-state counters, one name per number.
         "engine_metrics": engine.metrics(),
     }
 

@@ -13,17 +13,20 @@ Every algorithm follows the same outer structure:
 :func:`build_result` implement steps 1–2 and 4.
 
 Steps 1–2 are exactly the work that repeats across queries sharing a dataset
-and focal record.  :class:`PreparedQuery` captures their output (the focal
-partition, the competitor R-tree and a hyperplane cache) so a serving layer —
-see :mod:`repro.engine` — can compute them once and replay many queries
-against the prepared state.
+and focal record.  :func:`prepare_query` performs them once — optionally
+restricted to the k-skyband competitors (Lemma 6) — and returns a
+:class:`PreparedQuery` (the focal partition, the competitor R-tree and a
+hyperplane cache) that many queries can replay.  It is the one preparation
+step of the library: :func:`prepare_context`, :class:`repro.engine.Engine`
+and the worker processes of :class:`repro.parallel.ShardedExecutor` all call
+it.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -48,6 +51,7 @@ __all__ = [
     "ReportedCell",
     "StreamTick",
     "PreparedQuery",
+    "prepare_query",
     "prepare_context",
     "build_result",
     "build_region",
@@ -147,6 +151,52 @@ class PreparedQuery:
     partition: FocalPartition
     tree: AggregateRTree | None
     hyperplane_cache: dict[int, Hyperplane] | None = None
+
+
+def prepare_query(
+    snapshot: Dataset,
+    focal: np.ndarray,
+    band_ids: Container[int] | None,
+    *,
+    build_tree: bool = True,
+    fanout: int = 32,
+    hyperplane_cache: dict[int, Hyperplane] | None = None,
+    partition: FocalPartition | None = None,
+) -> PreparedQuery:
+    """Build the prepared state of one ``(snapshot, focal, band)``.
+
+    Splits ``snapshot`` around ``focal`` (competitors / dominators /
+    dominated), keeps only the competitors whose id is in ``band_ids`` — the
+    k-skyband, which by Lemma 6 cannot change the answer — and STR-builds
+    the aggregate R-tree over what is left.  ``band_ids=None`` keeps every
+    competitor (an unpruned query).  The dominator count always describes
+    the full snapshot.
+
+    ``build_tree=False`` skips the R-tree for consumers that read only the
+    partition (the sampling estimator).  ``partition`` hands in a partition
+    already computed for the same snapshot, focal and band (for example by
+    the tree-less sibling of an exact entry), which skips the partition and
+    the slice.  ``hyperplane_cache`` is attached as-is.
+
+    A pure, module-level function of picklable inputs, so the engine runs it
+    in-process and :class:`repro.parallel.ShardedExecutor` runs it in its
+    worker processes, with identical answers.
+    """
+    if partition is None:
+        partition = snapshot.partition_by_focal(focal)
+        if band_ids is not None:
+            competitors = partition.competitors
+            keep = [
+                i for i, record_id in enumerate(competitors.ids) if int(record_id) in band_ids
+            ]
+            if len(keep) < competitors.cardinality:
+                partition = FocalPartition(
+                    competitors=competitors.subset(keep),
+                    dominators=partition.dominators,
+                    dominated=partition.dominated,
+                )
+    tree = AggregateRTree(partition.competitors, fanout=fanout) if build_tree else None
+    return PreparedQuery(partition, tree, hyperplane_cache)
 
 
 @dataclass
@@ -279,18 +329,16 @@ def prepare_context(
     counters = stats.lp
 
     with current_tracer().span("query.prepare") as span:
-        if prepared is not None:
-            partition = prepared.partition
-            competitors = partition.competitors
-            tree = prepared.tree
-        else:
-            partition = dataset.partition_by_focal(focal_array)
-            competitors = partition.competitors
+        was_prepared = prepared is not None
+        if prepared is None:
             build_start = time.perf_counter()
-            tree = AggregateRTree(competitors, fanout=fanout)
+            prepared = prepare_query(dataset, focal_array, None, fanout=fanout)
             stats.index_build_seconds = time.perf_counter() - build_start
+        partition = prepared.partition
+        competitors = partition.competitors
+        tree = prepared.tree
         span.set(
-            prepared=prepared is not None,
+            prepared=was_prepared,
             competitors=int(competitors.cardinality),
             dominators=int(partition.dominators),
         )
@@ -312,7 +360,7 @@ def prepare_context(
         tolerance=resolve_tolerance(tolerance),
         io_reads_start=tree.io.node_reads,
     )
-    if prepared is not None and prepared.hyperplane_cache is not None:
+    if prepared.hyperplane_cache is not None:
         context._hyperplanes = prepared.hyperplane_cache
     return context
 

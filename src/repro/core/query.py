@@ -12,11 +12,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..approx.estimator import sample_kspr
+from ..approx.estimator import ApproxSpec, sample_kspr
 from ..approx.result import ApproxKSPRResult
 from ..exceptions import InvalidQueryError
 from ..records import Dataset
-from ..robust import validate_query_inputs
+from ..robust import Tolerance, resolve_tolerance, validate_query_inputs
+from .base import ORIGINAL_SPACE, TRANSFORMED_SPACE
 from .bounds import BoundsMode
 from .cta import cta
 from .lpcta import lpcta
@@ -30,6 +31,8 @@ __all__ = [
     "normalize_method",
     "resolve_method",
     "validate_query",
+    "canonical_options",
+    "query_space",
 ]
 
 _METHODS: dict[str, Callable[..., KSPRResult | ApproxKSPRResult]] = {
@@ -82,6 +85,54 @@ def validate_query(dataset: Dataset, focal: np.ndarray, k: int) -> np.ndarray:
     :class:`repro.parallel.ShardedExecutor`.
     """
     return validate_query_inputs(dataset, focal, k)
+
+
+def canonical_options(
+    options: dict, method_name: str, default_tolerance: Tolerance | None = None
+) -> dict:
+    """Canonical per-query options: one spelling per query, ready to key a cache.
+
+    ``bounds_mode`` strings become :class:`~repro.core.bounds.BoundsMode`
+    members.  A tolerance is resolved to a :class:`~repro.robust.Tolerance`
+    (so a float and its equivalent policy never produce two keys); an
+    explicit ``tolerance=None`` means "not given", and ``default_tolerance``
+    fills in whenever the query brings none.  For the sampling method
+    (``method_name == "sample_kspr"``) ``warn`` is dropped, since it never
+    changes the answer, and every accuracy-contract field is expanded to the
+    full :class:`~repro.approx.ApproxSpec`, so the ``approx=`` and
+    ``method="sample"`` spellings, with or without the default values
+    written out, all share one key.  ``options`` itself is not modified.
+    """
+    options = dict(options)
+    if isinstance(options.get("bounds_mode"), str):
+        options["bounds_mode"] = BoundsMode(options["bounds_mode"])
+    if options.get("tolerance") is not None:
+        options["tolerance"] = resolve_tolerance(options["tolerance"])
+    elif default_tolerance is not None:
+        options["tolerance"] = default_tolerance
+    else:
+        options.pop("tolerance", None)
+    if method_name == "sample_kspr":
+        options.pop("warn", None)
+        overrides = {
+            name: options.pop(name)
+            for name in list(options)
+            if name in ApproxSpec.__dataclass_fields__
+        }
+        options.update(ApproxSpec(**overrides).as_options())
+    return options
+
+
+def query_space(method_name: str, options: dict) -> str:
+    """The preference space a query runs in.
+
+    The original-space variants of Appendix C (``op_cta``, ``olp_cta``)
+    always work in the original space; every other method honours its
+    ``space`` option and defaults to the transformed space.
+    """
+    if method_name in ("op_cta", "olp_cta"):
+        return ORIGINAL_SPACE
+    return options.get("space", TRANSFORMED_SPACE)
 
 
 def kspr(

@@ -26,7 +26,7 @@ import enum
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -79,6 +79,35 @@ def _canonical_value(value) -> tuple | str:
 def options_key(options: dict) -> tuple:
     """Canonical, hashable, collision-free form of a keyword-options dict."""
     return tuple(sorted((name, _canonical_value(value)) for name, value in options.items()))
+
+
+_Entry = TypeVar("_Entry", "CacheEntry", "PartialEntry")
+
+
+def _rekey(
+    entries: "OrderedDict[tuple, _Entry]",
+    new_fingerprint: str,
+    is_affected: Callable[[_Entry], bool],
+) -> "tuple[OrderedDict[tuple, _Entry], list[_Entry]]":
+    """Split ``entries`` by an update's verdict: ``(re-keyed survivors, dropped)``.
+
+    Survivors move under ``new_fingerprint`` with LRU order preserved.
+    Exception-safe: every ``is_affected`` verdict is collected *before* any
+    entry is touched, so a callback that raises leaves every entry (and the
+    caller's index) exactly as it was — no entry re-keyed under the new
+    fingerprint while the index still holds the old keys.
+    """
+    current = list(entries.values())
+    verdicts = [bool(is_affected(entry)) for entry in current]
+    retained: OrderedDict[tuple, _Entry] = OrderedDict()
+    dropped: list[_Entry] = []
+    for entry, drop in zip(current, verdicts):
+        if drop:
+            dropped.append(entry)
+        else:
+            entry.fingerprint = new_fingerprint
+            retained[entry.key] = entry
+    return retained, dropped
 
 
 @dataclass
@@ -181,27 +210,13 @@ class ResultCache:
         Entries for which ``is_affected`` returns True are dropped; the rest
         are re-keyed under ``new_fingerprint`` (their answers are provably
         unchanged by the update) with LRU order preserved.  Returns
-        ``(retained, dropped)`` counts.
-
-        Exception-safe: every ``is_affected`` verdict is collected *before*
-        any entry is mutated, so a callback that raises leaves the cache
-        exactly as it was — no entry re-keyed under the new fingerprint
-        while the index still holds the old keys, no half-applied swap.
+        ``(retained, dropped)`` counts.  A raising ``is_affected`` leaves
+        the cache exactly as it was.
         """
-        entries = list(self._entries.values())
-        affected = [bool(is_affected(entry)) for entry in entries]
-        retained: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        dropped = 0
-        for entry, drop in zip(entries, affected):
-            if drop:
-                dropped += 1
-                continue
-            entry.fingerprint = new_fingerprint
-            retained[entry.key] = entry
-        self._entries = retained
-        self.invalidated += dropped
-        self.rekeyed += len(retained)
-        return len(retained), dropped
+        self._entries, dropped = _rekey(self._entries, new_fingerprint, is_affected)
+        self.invalidated += len(dropped)
+        self.rekeyed += len(self._entries)
+        return len(self._entries), len(dropped)
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -363,27 +378,14 @@ class PartialStore:
         unaffected ones are re-keyed under ``new_fingerprint`` — the update
         provably cannot change their answer *or* their pruned competitor
         input, so the suspended computation remains exactly the one a cold
-        re-run would perform.  Returns ``(retained, dropped)``.
-
-        Exception-safe like :meth:`ResultCache.apply_update`: all verdicts
-        are decided before any checkpoint is closed or re-keyed, so a
-        raising ``is_affected`` leaves every checkpoint untouched (and
-        still open).
+        re-run would perform.  Returns ``(retained, dropped)``.  A raising
+        ``is_affected`` leaves every checkpoint untouched (and still open).
         """
-        entries = list(self._entries.values())
-        affected = [bool(is_affected(entry)) for entry in entries]
-        retained: OrderedDict[tuple, PartialEntry] = OrderedDict()
-        dropped = 0
-        for entry, drop in zip(entries, affected):
-            if drop:
-                entry.close()
-                dropped += 1
-                continue
-            entry.fingerprint = new_fingerprint
-            retained[entry.key] = entry
-        self._entries = retained
-        self.invalidated += dropped
-        return len(retained), dropped
+        self._entries, dropped = _rekey(self._entries, new_fingerprint, is_affected)
+        for entry in dropped:
+            entry.close()
+        self.invalidated += len(dropped)
+        return len(self._entries), len(dropped)
 
     def info(self) -> dict[str, int]:
         """Counters in a plain dict (for logs and tests)."""

@@ -17,9 +17,10 @@ on every call:
 * **result caching** — an LRU :class:`~repro.engine.cache.ResultCache` keyed
   on ``(dataset fingerprint, focal, k, method, options)`` returns previously
   computed answers outright.
-* **incremental updates** — :meth:`Engine.insert` / :meth:`Engine.delete`
-  patch the dominator counts, the shared aggregate R-tree and the caches in
-  place.  Cache entries are invalidated *only* when the updated record can
+* **incremental updates** — :meth:`Engine.apply_updates` (and its one-op
+  wrappers :meth:`Engine.insert` / :meth:`Engine.delete`) patches the
+  dominator counts, the shared aggregate R-tree and the caches in place.
+  Cache entries are invalidated *only* when the updated record can
   actually influence their answer; unaffected entries keep serving.
 
 The per-entry invalidation rule, for an entry answering ``(focal, k)`` and an
@@ -75,9 +76,8 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from ..approx.result import ApproxKSPRResult
-from ..core.base import PreparedQuery
-from ..core.bounds import BoundsMode
-from ..core.query import resolve_method, validate_query
+from ..core.base import PreparedQuery, prepare_query
+from ..core.query import canonical_options, query_space, resolve_method, validate_query
 from ..core.result import KSPRResult, PartialKSPRResult
 from ..exceptions import InvalidDatasetError, InvalidQueryError, ReproError, SnapshotError
 from ..geometry.halfspace import Hyperplane
@@ -87,7 +87,7 @@ from ..index.skyline import skyline as bbs_skyline
 from ..obs.metrics import MetricsRegistry, stats_to_registry, use_registry
 from ..obs.profile import QueryProfile
 from ..obs.trace import Tracer, current_tracer, use_tracer
-from ..records import Dataset, FocalPartition, dominates
+from ..records import Dataset, dominates
 from ..robust import Tolerance, resolve_tolerance
 from .cache import CacheEntry, PartialEntry, PartialStore, ResultCache, options_key
 
@@ -98,11 +98,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..snapshot.store import SnapshotStore
 
 __all__ = ["Engine", "EngineStats"]
-
-#: Preference-space tag used to segregate hyperplane caches (a transformed-
-#: space hyperplane and an original-space one differ for the same record).
-_TRANSFORMED = "transformed"
-_ORIGINAL = "original"
 
 
 @dataclass
@@ -321,43 +316,6 @@ class Engine:
         """Default numerical policy of this engine (None = library default)."""
         return self._tolerance
 
-    def _effective_options(self, options: dict, method_name: str | None = None) -> dict:
-        """Canonical per-query options: engine defaults applied, values resolved.
-
-        The engine-level tolerance is injected when the query did not pass its
-        own; whatever tolerance ends up in effect is resolved to a
-        :class:`~repro.robust.Tolerance` so the cache key is canonical (a
-        float and its equivalent policy never produce two entries).  For the
-        sampling method, the accuracy-contract fields are expanded to the
-        full :class:`~repro.approx.ApproxSpec` (defaults included), so the
-        ``approx=`` and ``method="sample"`` spellings of one query always
-        share a single cache entry.
-        """
-        options = dict(options)
-        if isinstance(options.get("bounds_mode"), str):
-            options["bounds_mode"] = BoundsMode(options["bounds_mode"])
-        if "tolerance" in options:
-            if options["tolerance"] is not None:
-                options["tolerance"] = resolve_tolerance(options["tolerance"])
-            else:
-                del options["tolerance"]
-        if "tolerance" not in options and self._tolerance is not None:
-            options["tolerance"] = self._tolerance
-        if method_name == "sample_kspr":
-            from ..approx.estimator import ApproxSpec  # local: engine <-> approx
-
-            # ``warn`` never changes the answer (admission already warned) —
-            # drop it so it cannot split the cache key; every contract field
-            # (max_samples included) is then expanded to the full spec.
-            options.pop("warn", None)
-            overrides = {
-                name: options.pop(name)
-                for name in list(options)
-                if name in ApproxSpec.__dataclass_fields__
-            }
-            options.update(ApproxSpec(**overrides).as_options())
-        return options
-
     def canonical_key(
         self,
         focal: np.ndarray | Sequence[float],
@@ -380,7 +338,7 @@ class Engine:
         """
         method_name, _ = resolve_method(method or self._default_method)
         focal_array = np.asarray(focal, dtype=float)
-        opts = options_key(self._effective_options(dict(options or {}), method_name))
+        opts = options_key(canonical_options(options or {}, method_name, self._tolerance))
         with self._lock:
             if fingerprint is None:
                 fingerprint = self._snapshot.fingerprint()
@@ -425,14 +383,8 @@ class Engine:
         the current one); a hit is counted as a served query in the engine
         statistics.
         """
-        method_name, _ = resolve_method(method or self._default_method)
-        focal_array = np.asarray(focal, dtype=float)
-        options = self._effective_options(options or {}, method_name)
-        opts = options_key(options)
+        key = self.canonical_key(focal, k, method, options, fingerprint)
         with self._lock:
-            if fingerprint is None:
-                fingerprint = self._snapshot.fingerprint()
-            key = (fingerprint, focal_array.tobytes(), int(k), method_name, opts)
             cached = self._result_cache.get(key)
             if cached is not None:
                 self.stats.queries += 1
@@ -454,44 +406,14 @@ class Engine:
         with self._lock:
             return bbs_skyline(self._shared_tree)
 
-    def cache_info(self) -> dict[str, int | float]:
-        """Result-cache counters (size, hits, misses, invalidations, ...).
-
-        .. deprecated::
-            Legacy accessor kept for backwards compatibility; the same
-            numbers are served under canonical ``engine.result_cache.*``
-            names by :meth:`metrics`.
-        """
-        with self._lock:
-            return self._result_cache.info()
-
-    def prepared_info(self) -> dict[str, int]:
-        """Prepared-state counters.
-
-        .. deprecated::
-            Legacy accessor kept for backwards compatibility; the same
-            numbers are served under canonical ``engine.prepared.*`` names
-            by :meth:`metrics`.
-        """
-        with self._lock:
-            return {
-                "size": len(self._prepared),
-                "capacity": self._prepared_capacity,
-                "builds": self.stats.prepared_builds,
-                "reuses": self.stats.prepared_reuses,
-            }
-
     def metrics_registry(self) -> MetricsRegistry:
         """Every engine-side counter as one canonical :class:`MetricsRegistry`.
 
-        This is the unification point for the historical spellings: the
-        :class:`EngineStats` fields, :meth:`cache_info`,
-        :meth:`prepared_info` and :meth:`partial_info` all published
-        overlapping numbers under private names; here each quantity appears
-        exactly once, under its canonical dotted name (``engine.queries``,
-        ``engine.result_cache.hits``, ``engine.partial_store.saved``, …).
-        Where two legacy sources counted the same event (for example
-        ``EngineStats.cache_hits`` and ``cache_info()["hits"]``), the
+        Each quantity appears exactly once, under its canonical dotted name
+        (``engine.queries``, ``engine.result_cache.hits``,
+        ``engine.partial_store.saved``, …).  Where the :class:`EngineStats`
+        fields and a cache's own counters count the same event (for example
+        ``EngineStats.cache_hits`` and the result cache's hits), the
         registry records it once.  Counters land as :class:`Counter`,
         sizes/capacities/accumulated seconds as :class:`Gauge` — ready for
         :func:`repro.obs.registry_to_prometheus`.
@@ -552,10 +474,8 @@ class Engine:
     def metrics(self) -> dict[str, float]:
         """Flat ``{canonical name: value}`` snapshot of every engine counter.
 
-        The canonical replacement for reading :attr:`stats`,
-        :meth:`cache_info`, :meth:`prepared_info` and :meth:`partial_info`
-        separately — one name per number, shared with the exporters and the
-        experiment harness.  Equivalent to
+        One name per number, shared with the exporters and the experiment
+        harness.  Equivalent to
         ``self.metrics_registry().snapshot()``.
         """
         return self.metrics_registry().snapshot()
@@ -681,7 +601,7 @@ class Engine:
         with self._lock:
             snapshot = self._snapshot
         focal_array = validate_query(snapshot, focal, k)
-        options = self._effective_options(options, method_name)
+        options = canonical_options(options, method_name, self._tolerance)
         opts = options_key(options)
         key = (snapshot.fingerprint(), focal_array.tobytes(), int(k), method_name, opts)
 
@@ -699,15 +619,10 @@ class Engine:
                 return cached
             query_span.set(cache="miss")
 
-            space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else options.get(
-                "space", _TRANSFORMED
-            )
             with tracer.span("engine.prepare") as prepare_span:
-                entry, snapshot = self._prepared_for(
-                    focal_array, int(k), space, build_tree=method_name != "sample_kspr"
-                )
+                entry, snapshot = self._prepared_for(focal_array, int(k), method_name, options)
                 prepare_span.set(
-                    space=space,
+                    space=entry.space,
                     pruned=entry.pruned,
                     competitors=int(entry.prepared.partition.competitors.cardinality),
                 )
@@ -731,7 +646,7 @@ class Engine:
                         # Admission already validated (and possibly warned about)
                         # the query; the estimator must not warn a second time.
                         # Neither flag participates in the cache key (warn is
-                        # stripped by _effective_options; chunk substreams make the
+                        # stripped by canonical_options; chunk substreams make the
                         # estimate identical for every worker count).
                         call_options["warn"] = False
                         if workers is not None and workers > 1:
@@ -768,20 +683,7 @@ class Engine:
             # Guard against a concurrent update: never cache a result computed
             # against a superseded dataset state.
             if use_cache and snapshot is self._snapshot:
-                self._result_cache.put(
-                    CacheEntry(
-                        fingerprint=snapshot.fingerprint(),
-                        focal=focal_array,
-                        k=int(k),
-                        method=method_name,
-                        opts=opts,
-                        result=result,
-                        pruned=entry.pruned,
-                    )
-                )
-                # The full result shadows any paused-stream checkpoint under
-                # this key; release it rather than let it linger unreachable.
-                self._partials.discard(key)
+                self._install(snapshot.fingerprint(), focal_array, int(k), method_name, opts, result)
         return result
 
     def query_stream(
@@ -848,7 +750,7 @@ class Engine:
         with self._lock:
             snapshot = self._snapshot
         focal_array = validate_query(snapshot, focal, k)
-        options = self._effective_options(options, method_name)
+        options = canonical_options(options, method_name, self._tolerance)
         opts = options_key(options)
         return self._stream(
             snapshot, focal_array, int(k), method_name, options, opts,
@@ -937,10 +839,9 @@ class Engine:
                 # process was suspended at.
                 replay = anytime
                 replay_options = dict(replay.options)
-                space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else (
-                    replay_options.get("space", _TRANSFORMED)
+                entry, prepared_snapshot = self._prepared_for(
+                    focal_array, k, method_name, replay_options
                 )
-                entry, prepared_snapshot = self._prepared_for(focal_array, k, space)
                 if prepared_snapshot.fingerprint() != fingerprint:
                     # An update raced the resume; the recipe's tick cursor
                     # describes a superseded state.  Re-key to the state the
@@ -963,10 +864,7 @@ class Engine:
                     for _ in anytime.advance(max_batches=replay.ticks):
                         pass
         else:
-            space = _ORIGINAL if method_name in ("op_cta", "olp_cta") else options.get(
-                "space", _TRANSFORMED
-            )
-            entry, prepared_snapshot = self._prepared_for(focal_array, k, space)
+            entry, prepared_snapshot = self._prepared_for(focal_array, k, method_name, options)
             if prepared_snapshot is not snapshot:
                 # An update raced query admission: stream against the state
                 # the prepared entry describes and re-key accordingly.
@@ -996,17 +894,7 @@ class Engine:
                         # Never cache a result whose dataset state has been
                         # superseded mid-stream.
                         if self._snapshot.fingerprint() == fingerprint:
-                            self._result_cache.put(
-                                CacheEntry(
-                                    fingerprint=fingerprint,
-                                    focal=focal_array,
-                                    k=k,
-                                    method=method_name,
-                                    opts=opts,
-                                    result=result,
-                                    pruned=pruned,
-                                )
-                            )
+                            self._install(fingerprint, focal_array, k, method_name, opts, result)
                     yield PartialKSPRResult.from_result(result, batches=partial.batches)
                 else:
                     yield partial
@@ -1048,17 +936,6 @@ class Engine:
                         # state may describe a stale competitor set, drop it.
                         anytime.close()
 
-    def partial_info(self) -> dict[str, int]:
-        """Paused-stream checkpoint counters (size, saves, resumes, ...).
-
-        .. deprecated::
-            Legacy accessor kept for backwards compatibility; the same
-            numbers are served under canonical ``engine.partial_store.*``
-            names by :meth:`metrics`.
-        """
-        with self._lock:
-            return self._partials.info()
-
     def adopt_result(
         self,
         fingerprint: str,
@@ -1079,27 +956,40 @@ class Engine:
         """
         method_name, _ = resolve_method(method or self._default_method)
         focal_array = np.asarray(focal, dtype=float)
-        opts = options_key(self._effective_options(options, method_name))
+        opts = options_key(canonical_options(options, method_name, self._tolerance))
         with self._lock:
             if fingerprint != self._snapshot.fingerprint():
                 return False
-            pruned = self._prune and int(k) <= self.k_max
-            self._result_cache.put(
-                CacheEntry(
-                    fingerprint=fingerprint,
-                    focal=focal_array,
-                    k=int(k),
-                    method=method_name,
-                    opts=opts,
-                    result=result,
-                    pruned=pruned,
-                )
-            )
-            self._partials.discard(
-                (fingerprint, focal_array.tobytes(), int(k), method_name, opts)
-            )
+            self._install(fingerprint, focal_array, int(k), method_name, opts, result)
             self.stats.adopted_results += 1
             return True
+
+    def _install(
+        self,
+        fingerprint: str,
+        focal: np.ndarray,
+        k: int,
+        method_name: str,
+        opts: tuple,
+        result: KSPRResult | ApproxKSPRResult,
+    ) -> None:
+        """Cache a result computed against the current state (lock held).
+
+        The full result shadows any paused-stream checkpoint under the same
+        key; that checkpoint is released rather than left to linger
+        unreachable.
+        """
+        entry = CacheEntry(
+            fingerprint=fingerprint,
+            focal=focal,
+            k=k,
+            method=method_name,
+            opts=opts,
+            result=result,
+            pruned=self._prune and k <= self.k_max,
+        )
+        self._result_cache.put(entry)
+        self._partials.discard(entry.key)
 
     # ------------------------------------------------------------------ #
     # persistence (repro.snapshot)
@@ -1151,7 +1041,7 @@ class Engine:
 
         ``replay_to`` names a *newer* snapshot in the same store: the
         insert/delete diff between the two versions is replayed through the
-        ordinary :meth:`insert` / :meth:`delete` path, so the restored
+        ordinary update path (:meth:`insert` / :meth:`delete`), so the restored
         caches are reconciled by the precise rules-1-4 invalidation —
         entries the interim updates provably cannot affect keep serving —
         instead of being flushed wholesale.  If the replay cannot reproduce
@@ -1183,9 +1073,9 @@ class Engine:
                         engine.insert(update.values, record_id=update.record_id)
                     store.replayed_updates += 1
                 replayed = engine.fingerprint == target.fingerprint
-            except (ReproError, KeyError):
-                # A diff the update path cannot replay (id below the floor,
-                # emptied dataset, inconsistent stores): fall back below.
+            except ReproError:
+                # A diff the update path rejects (id below the floor, an
+                # id that is not live, emptied dataset): fall back below.
                 replayed = False
             if replayed:
                 engine._stamp_watermark(target.id_high_watermark)
@@ -1224,33 +1114,34 @@ class Engine:
             self._id_floor = max(self._id_floor, watermark)
 
     def _prepared_for(
-        self, focal: np.ndarray, k: int, space: str, build_tree: bool = True
+        self, focal: np.ndarray, k: int, method_name: str, options: dict
     ) -> tuple[_PreparedEntry, Dataset]:
-        """Fetch or build the prepared state for one ``(focal, k, space)``.
+        """Fetch or build the prepared state of one query.
 
         Returns the entry together with the dataset snapshot it is consistent
         with — the caller must run the query against exactly that snapshot.
-        The focal partition and the k-skyband slice are computed *under the
-        engine lock* so they always describe one dataset state; only the
-        expensive R-tree build runs unlocked.
+        The work itself is :func:`~repro.core.base.prepare_query`; this
+        method adds the LRU, the lock, sibling reuse and race handling.  The
+        snapshot and its k-skyband ids are captured under the engine lock so
+        they describe one dataset state; the partition and the STR bulk load
+        then run unlocked, over that immutable snapshot.
 
-        Entries are keyed on the *band* rather than ``k`` directly: pruned
-        entries depend on ``k`` (the competitor set is the k-skyband slice),
-        but unpruned ones (``k > k_max`` or pruning disabled) share a single
-        competitor tree across every ``k``.
-
-        ``build_tree=False`` (the sampling path) prepares only the focal
-        partition: the sampler never reads the competitor R-tree or the
+        Entries are keyed on ``(focal, band, space)``: pruned entries depend
+        on ``k`` (the competitor set is the k-skyband slice), but unpruned
+        ones (``k > k_max`` or pruning disabled) share band 0 — and a single
+        competitor tree — across every ``k``.  The sampling method gets a
+        tree-less entry (the sampler never reads the R-tree or the
         hyperplane cache, and at the large ``n`` the approximate mode
-        targets, the STR bulk load would dominate the whole query.  Tree-less
-        entries live under their own key so an exact query can never pick
-        one up.
+        targets the STR bulk load would dominate the query) under its own
+        key, so an exact query can never pick one up.
         """
+        space = query_space(method_name, options)
+        build_tree = method_name != "sample_kspr"
         pruned = self._prune and k <= self.k_max
         band = k if pruned else 0
-        pkey = (focal.tobytes(), band, space) if build_tree else (
-            focal.tobytes(), band, space, "sample"
-        )
+        exact_key = (focal.tobytes(), band, space)
+        sample_key = exact_key + ("sample",)
+        pkey, sibling_key = (exact_key, sample_key) if build_tree else (sample_key, exact_key)
         prepare_start = time.perf_counter()
         with self._lock:
             snapshot = self._snapshot
@@ -1264,38 +1155,17 @@ class Engine:
             # (valid for exactly the dataset states this entry would be —
             # both are invalidated together by rules 1-4) instead of
             # redoing the O(n d) partition and the skyband filter.
-            sibling_key = (
-                (focal.tobytes(), band, space, "sample")
-                if build_tree
-                else (focal.tobytes(), band, space)
-            )
             sibling = self._prepared.get(sibling_key)
-            if sibling is not None:
-                partition = sibling.prepared.partition
-            else:
-                partition = snapshot.partition_by_focal(focal)
-                if pruned:
-                    band_ids = self._skyband.skyband_ids(k)
-                    competitors = partition.competitors
-                    keep = [
-                        i
-                        for i, record_id in enumerate(competitors.ids)
-                        if int(record_id) in band_ids
-                    ]
-                    if len(keep) < competitors.cardinality:
-                        partition = FocalPartition(
-                            competitors=competitors.subset(keep),
-                            dominators=partition.dominators,
-                            dominated=partition.dominated,
-                        )
-        # The heavy part runs outside the lock so updates and other queries
-        # are not serialised behind the STR bulk load.
-        tree = (
-            AggregateRTree(partition.competitors, fanout=self._fanout)
-            if build_tree
-            else None
+            partition = None if sibling is None else sibling.prepared.partition
+            band_ids = self._skyband.skyband_ids(k) if pruned and partition is None else None
+        prepared = prepare_query(
+            snapshot, focal, band_ids,
+            build_tree=build_tree, fanout=self._fanout, partition=partition,
         )
         prepare_seconds = time.perf_counter() - prepare_start
+        entry = _PreparedEntry(
+            prepared=prepared, focal=focal.copy(), k=band, space=space, pruned=pruned
+        )
 
         with self._lock:
             if snapshot is not self._snapshot:
@@ -1304,33 +1174,16 @@ class Engine:
                 # (which runs against that snapshot), but never register it —
                 # a later query would otherwise mix it with the *new* dataset
                 # state.
-                return (
-                    _PreparedEntry(
-                        prepared=PreparedQuery(partition, tree, None),
-                        focal=focal.copy(),
-                        k=band,
-                        space=space,
-                        pruned=pruned,
-                    ),
-                    snapshot,
-                )
+                return entry, snapshot
             raced = self._prepared.get(pkey)
             if raced is not None:
                 self._prepared.move_to_end(pkey)
                 self.stats.prepared_reuses += 1
                 return raced, snapshot
             if build_tree:
-                hkey = (focal.tobytes(), space)
-                hyperplanes = self._hyperplanes.setdefault(hkey, {})
-            else:
-                hyperplanes = None
-            entry = _PreparedEntry(
-                prepared=PreparedQuery(partition, tree, hyperplanes),
-                focal=focal.copy(),
-                k=band,
-                space=space,
-                pruned=pruned,
-            )
+                prepared.hyperplane_cache = self._hyperplanes.setdefault(
+                    (focal.tobytes(), space), {}
+                )
             self._prepared[pkey] = entry
             self.stats.prepared_builds += 1
             self.stats.prepare_seconds += prepare_seconds
@@ -1360,66 +1213,43 @@ class Engine:
     def insert(
         self, values: np.ndarray | Sequence[float], record_id: int | None = None
     ) -> int:
-        """Add one record, patching indexes and invalidating affected caches.
+        """Add one record: a one-op :meth:`apply_updates`.
 
         Returns the record's stable identifier.  Identifiers are never
         reused, so an explicit ``record_id`` that was ever live (even if
-        since deleted) is rejected.
+        since deleted) is rejected with
+        :class:`~repro.exceptions.InvalidDatasetError`.
         """
-        row = np.asarray(values, dtype=float)
-        with self._lock:
-            if record_id is None:
-                record_id = self._next_id
-            record_id = int(record_id)
-            if record_id in self._used_ids:
-                raise InvalidDatasetError(
-                    f"record id {record_id} was already used; ids are never recycled"
-                )
-            if self._id_floor and record_id < self._id_floor:
-                raise InvalidDatasetError(
-                    f"record id {record_id} is below this restored engine's id "
-                    f"floor ({self._id_floor}); every id under the floor may "
-                    "have been issued (and deleted) before the snapshot, and "
-                    "ids are never recycled"
-                )
-            delta = self._skyband.insert(row, record_id)
-            self._used_ids.add(record_id)
-            self._next_id = max(self._next_id, record_id + 1)
-            self._shared_tree.rebind_dataset(self._backing_view())
-            self._shared_tree.insert_position(delta.position)
-            pairs = ((delta, True),)
-            self._finish_update_batch(pairs)
-            self.stats.inserts += 1
-        self._notify_live(pairs)
-        return record_id
+        from ..live.updates import UpdateOp  # local: engine <-> live
+
+        applied = self.apply_updates([UpdateOp.insert(values, record_id)])
+        return int(applied.ops[0].record_id)
 
     def delete(self, record_id: int) -> None:
-        """Remove one record, patching indexes and invalidating affected caches."""
-        with self._lock:
-            if self._skyband.active_count <= 1:
-                raise InvalidDatasetError("cannot delete the last remaining record")
-            delta = self._skyband.delete(record_id)
-            self._shared_tree.delete_position(delta.position)
-            pairs = ((delta, False),)
-            self._finish_update_batch(pairs)
-            self.stats.deletes += 1
-        self._notify_live(pairs)
+        """Remove one live record: a one-op :meth:`apply_updates`.
+
+        Raises :class:`~repro.exceptions.InvalidDatasetError` when
+        ``record_id`` is not live or is the last remaining record.
+        """
+        from ..live.updates import UpdateOp  # local: engine <-> live
+
+        self.apply_updates([UpdateOp.delete(record_id)])
 
     def apply_updates(self, updates: "UpdateBatch | Sequence[UpdateOp]") -> "AppliedBatch":
         """Apply a batch of inserts/deletes as one atomic snapshot swap.
 
-        The whole batch is validated up front (id discipline, dimensions,
-        finiteness, never emptying the dataset), then applied under a
-        single lock acquisition with exactly one snapshot swap at the end
-        — intermediate states never exist as fingerprints, so a
-        concurrent reader sees either the pre-batch or the post-batch
-        dataset.  Cache reconciliation unions the per-update rules-1–4
-        verdicts, each evaluated against its own sequential-point-in-time
-        skyband delta, which makes the batched invalidation equivalent to
-        applying the updates one at a time.  Standing queries
-        (:meth:`subscribe`) are classified and repaired before this
-        returns; the returned :class:`~repro.live.AppliedBatch` carries
-        the assigned record ids and both fingerprints.
+        This is the engine's only update path.  The whole batch is validated
+        up front (id discipline, dimensions, finiteness, never emptying the
+        dataset), then applied under a single lock acquisition with exactly
+        one snapshot swap at the end — intermediate states never exist as
+        fingerprints, so a concurrent reader sees either the pre-batch or
+        the post-batch dataset.  Cache reconciliation unions the per-update
+        rules-1–4 verdicts, each evaluated against its own
+        sequential-point-in-time skyband delta, which makes the batched
+        invalidation equivalent to applying the updates one at a time.
+        Standing queries (:meth:`subscribe`) are classified and repaired
+        before this returns; the returned :class:`~repro.live.AppliedBatch`
+        carries the assigned record ids and both fingerprints.
         """
         from ..live.updates import AppliedBatch, UpdateBatch, UpdateOp  # local: engine <-> live
 
@@ -1466,18 +1296,17 @@ class Engine:
     def _validate_batch(self, batch: "UpdateBatch") -> None:
         """Reject the whole batch before any mutation (atomicity guard).
 
-        Simulates the id/liveness bookkeeping op by op so mid-batch
-        failures are impossible once application starts: explicit insert
-        ids must be fresh (never used, not below a restored floor, not
-        claimed twice within the batch), values must match the
-        dimensionality and be finite, deletes must target a
+        Walks the batch op by op, tracking only the ids it claims and
+        removes, so mid-batch failures are impossible once application
+        starts: explicit insert ids must be fresh (never used, not below a
+        restored floor, not claimed twice within the batch), values must
+        match the dimensionality and be finite, deletes must target a
         then-live id, and the live count must never reach zero.
         """
-        sim_used = set(self._used_ids)
-        sim_live = {
-            int(rid) for rid in self._skyband.ids_at(self._skyband.active_positions())
-        }
-        sim_next = self._next_id
+        claimed: set[int] = set()
+        removed: set[int] = set()
+        live = self._skyband.active_count
+        next_id = self._next_id
         dimensionality = self._snapshot.dimensionality
         for op in batch.ops:
             if op.op == "insert":
@@ -1488,8 +1317,8 @@ class Engine:
                     )
                 if not np.all(np.isfinite(row)):
                     raise InvalidDatasetError("insert values must be finite")
-                rid = sim_next if op.record_id is None else int(op.record_id)
-                if rid in sim_used:
+                rid = next_id if op.record_id is None else int(op.record_id)
+                if rid in self._used_ids or rid in claimed:
                     raise InvalidDatasetError(
                         f"record id {rid} was already used; ids are never recycled"
                     )
@@ -1498,17 +1327,18 @@ class Engine:
                         f"record id {rid} is below this restored engine's id "
                         f"floor ({self._id_floor}); ids are never recycled"
                     )
-                sim_used.add(rid)
-                sim_live.add(rid)
-                sim_next = max(sim_next, rid + 1)
+                claimed.add(rid)
+                live += 1
+                next_id = max(next_id, rid + 1)
             else:
                 rid = int(op.record_id)
-                if rid not in sim_live:
+                if rid in removed or (rid not in claimed and rid not in self._skyband):
                     raise InvalidDatasetError(
                         f"cannot delete record id {rid}: not live at that point in the batch"
                     )
-                sim_live.remove(rid)
-                if not sim_live:
+                removed.add(rid)
+                live -= 1
+                if not live:
                     raise InvalidDatasetError("cannot delete the last remaining record")
 
     # ------------------------------------------------------------------ #

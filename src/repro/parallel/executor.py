@@ -1,12 +1,13 @@
 """Process-pool execution of multi-query kSPR workloads (per-focal shards).
 
 :class:`ShardedExecutor` spreads a batch of independent queries over worker
-processes.  Each worker reproduces the cold-query path of
-:class:`repro.engine.Engine` — focal partitioning, k-skyband pruning from
-precomputed dominator counts, a per-focal competitor R-tree and hyperplane
-cache, and per-worker result deduplication — so every answer is identical to
-what the engine (or a plain :func:`repro.kspr` call, with pruning disabled)
-would produce for the same query.
+processes.  Each worker runs the engine's own cold-query steps: the options
+go through :func:`~repro.core.query.canonical_options` (so two spellings of
+one query are answered once), and the prepared state comes from
+:func:`~repro.core.base.prepare_query` with the k-skyband ids taken from
+precomputed dominator counts.  Every answer is therefore identical to what
+:class:`repro.engine.Engine` (or a plain :func:`repro.kspr` call, with
+pruning disabled) would produce for the same query.
 
 The expensive O(n²) dominator-count pass is performed **once** in the parent
 and shipped to the workers, instead of being recomputed per process.  Shards
@@ -30,13 +31,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from ..core.base import PreparedQuery
-from ..core.bounds import BoundsMode
-from ..core.query import resolve_method, validate_query
+from ..core.base import PreparedQuery, prepare_query
+from ..core.query import canonical_options, query_space, resolve_method, validate_query
 from ..engine.batch import BatchReport, QuerySpec, coerce_spec
 from ..engine.cache import options_key
 from ..index.dominance import dominated_counts
-from ..index.rtree import AggregateRTree
 from ..records import Dataset, FocalPartition
 from ..robust import Tolerance, resolve_tolerance
 from .shards import plan_focal_shards, resolve_workers
@@ -107,9 +106,12 @@ def _serve(
 ) -> tuple[list[tuple[int, object, Exception | None, float, bool]], int, int]:
     """Answer queries sequentially, reusing per-focal prepared state.
 
-    Mirrors :meth:`repro.engine.Engine.query`'s cold path: identical focal
-    partitioning, identical k-skyband slice (from the same dominator counts),
-    identical STR-built competitor tree — hence identical answers.
+    Calls the engine's cold-query steps rather than copying them:
+    :func:`~repro.core.query.canonical_options` keys the per-worker result
+    deduplication, and :func:`~repro.core.base.prepare_query` builds the
+    prepared state, with the k-skyband ids derived from ``counts_by_id``
+    (``None`` disables pruning).  Answers are hence identical to
+    :meth:`repro.engine.Engine.query`.
 
     ``budget_seconds`` makes the serve loop deadline-aware: the budget is
     checked *between* queries (cooperative, per-query granularity — an
@@ -137,20 +139,9 @@ def _serve(
             continue
         start = time.perf_counter()
         try:
-            options = dict(option_items)
             method_name, method_func = resolve_method(method or settings["method"])
             focal_array = validate_query(dataset, np.asarray(focal, dtype=float), int(k))
-            if method_name == "lpcta" and isinstance(options.get("bounds_mode"), str):
-                options["bounds_mode"] = BoundsMode(options["bounds_mode"])
-            if options.get("tolerance") is not None:
-                options["tolerance"] = resolve_tolerance(options["tolerance"])
-            elif settings.get("tolerance") is not None:
-                options["tolerance"] = settings["tolerance"]
-            space = (
-                "original"
-                if method_name in ("op_cta", "olp_cta")
-                else options.get("space", "transformed")
-            )
+            options = canonical_options(dict(option_items), method_name, settings["tolerance"])
             qkey = (focal_array.tobytes(), int(k), method_name, options_key(options))
             cached = result_cache.get(qkey)
             if cached is not None:
@@ -164,6 +155,7 @@ def _serve(
                 and int(k) <= settings["k_max"]
             )
             band = int(k) if pruned else 0
+            space = query_space(method_name, options)
             # The sampling mode only consumes the focal partition — keying
             # its prepared state separately skips the R-tree build entirely
             # (and keeps exact queries from ever seeing a tree-less entry).
@@ -173,40 +165,26 @@ def _serve(
             if prepared is None:
                 partition_key = (focal_array.tobytes(), band)
                 partition = partition_cache.get(partition_key)
-                if partition is None:
-                    partition = dataset.partition_by_focal(focal_array)
-                    if pruned:
-                        competitors = partition.competitors
-                        keep = [
-                            i
-                            for i, record_id in enumerate(competitors.ids)
-                            if counts_by_id[int(record_id)] < int(k)
-                        ]
-                        if len(keep) < competitors.cardinality:
-                            partition = FocalPartition(
-                                competitors=competitors.subset(keep),
-                                dominators=partition.dominators,
-                                dominated=partition.dominated,
-                            )
-                    partition_cache[partition_key] = partition
-                if sampling:
-                    prepared = PreparedQuery(partition, None, None)
-                else:
-                    tree = AggregateRTree(
-                        partition.competitors, fanout=settings["fanout"]
-                    )
-                    hkey = (focal_array.tobytes(), space)
-                    prepared = PreparedQuery(
-                        partition, tree, hyperplane_caches.setdefault(hkey, {})
-                    )
+                band_ids = None
+                if pruned and partition is None:
+                    band_ids = {rid for rid, count in counts_by_id.items() if count < band}
+                hyperplanes = None if sampling else hyperplane_caches.setdefault(
+                    (focal_array.tobytes(), space), {}
+                )
+                prepared = prepare_query(
+                    dataset, focal_array, band_ids,
+                    build_tree=not sampling, fanout=settings["fanout"],
+                    hyperplane_cache=hyperplanes, partition=partition,
+                )
+                partition_cache[partition_key] = prepared.partition
                 prepared_cache[pkey] = prepared
 
             cold += 1
             if sampling:
                 # validate_query above already warned where warranted; the
-                # estimator must not warn a second time (kept out of qkey —
-                # it never changes the answer).
-                options.setdefault("warn", False)
+                # estimator must not warn a second time (canonical_options
+                # keeps ``warn`` out of qkey — it never changes the answer).
+                options["warn"] = False
             result = method_func(dataset, focal_array, int(k), prepared=prepared, **options)
             result_cache[qkey] = result
             outcomes.append((index, result, None, time.perf_counter() - start, False))

@@ -147,6 +147,68 @@ class TestEngineUpdates:
         with pytest.raises(InvalidDatasetError):
             engine.insert([0.4, 0.4, 0.4], record_id=record_id)
 
+    def test_delete_of_unknown_id_is_a_dataset_error(self, serving_dataset):
+        from repro.live import UpdateOp
+
+        engine = Engine(serving_dataset)
+        unknown = engine.dataset.next_record_id() + 5
+        fingerprint = engine.fingerprint
+        # The one-op wrapper and the batch path reject the id identically.
+        with pytest.raises(InvalidDatasetError, match="not live"):
+            engine.delete(unknown)
+        with pytest.raises(InvalidDatasetError, match="not live"):
+            engine.apply_updates([UpdateOp.delete(unknown)])
+        assert engine.fingerprint == fingerprint
+        assert engine.metrics()["engine.updates.deletes"] == 0
+
+    def test_queries_racing_updates_never_cache_stale_answers(
+        self, serving_dataset, focals, results_identical
+    ):
+        import sys
+        import threading
+
+        engine = Engine(serving_dataset, k_max=8)
+        rows = np.random.default_rng(21).random((12, 3)) * 0.9
+        errors: list[Exception] = []
+
+        def read() -> None:
+            try:
+                for _ in range(6):
+                    for focal in focals:
+                        engine.query(focal, 3, finalize_geometry=False)
+            except Exception as error:  # noqa: BLE001 - reported by the assert below
+                errors.append(error)
+
+        def write() -> None:
+            try:
+                for row in rows:
+                    record_id = engine.insert(row)
+                    if record_id % 2:
+                        engine.delete(record_id)
+            except Exception as error:  # noqa: BLE001 - reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=read) for _ in range(3)]
+        threads.append(threading.Thread(target=write))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        # Whatever the cache now serves must be the answer for the final state.
+        fresh = Engine(engine.dataset, k_max=8)
+        for focal in focals:
+            results_identical(
+                engine.query(focal, 3, finalize_geometry=False),
+                fresh.query(focal, 3, finalize_geometry=False),
+            )
+
     def test_skyband_ids_track_updates(self, serving_dataset):
         engine = Engine(serving_dataset)
         dominator = engine.insert([2.0, 2.0, 2.0])  # dominates everything

@@ -63,16 +63,16 @@ class TestServedResults:
         cold = cached_engine.query(focal, 3)
         hot = cached_engine.query(focal, 3)
         assert hot is cold  # byte-identical by construction
-        info = cached_engine.cache_info()
-        assert info["hits"] == 1
-        assert info["size"] == 1
+        metrics = cached_engine.metrics()
+        assert metrics["engine.result_cache.hits"] == 1
+        assert metrics["engine.result_cache.entries"] == 1
 
     def test_different_options_are_distinct_entries(self, cached_engine):
         focal = cached_engine.dataset.values[4] * 0.98
         with_geometry = cached_engine.query(focal, 3)
         without_geometry = cached_engine.query(focal, 3, finalize_geometry=False)
         assert with_geometry is not without_geometry
-        assert cached_engine.cache_info()["size"] == 2
+        assert cached_engine.metrics()["engine.result_cache.entries"] == 2
 
     def test_served_result_matches_cold_recomputation(
         self, cached_engine, results_identical
@@ -127,9 +127,9 @@ class TestPreciseInvalidation:
         engine.insert([0.80, 0.75])
         assert engine.query(high_focal, 2) is high_cached
         assert engine.query(low_focal, 2) is not low_cached
-        info = engine.cache_info()
-        assert info["invalidated"] == 1
-        assert info["rekeyed"] >= 1
+        metrics = engine.metrics()
+        assert metrics["engine.result_cache.invalidated"] == 1
+        assert metrics["engine.result_cache.rekeyed"] >= 1
 
     def test_delete_of_irrelevant_record_keeps_entry(self, engine):
         high_focal = np.array([0.95, 0.95])

@@ -6,8 +6,8 @@ Asserts the cross-cutting observability contracts:
   runs and across ``workers=1`` vs ``workers=4``;
 - the LP constraint-count histogram merged from parallel shards equals the
   serial run's (fixed buckets make the merge exact);
-- :meth:`Engine.metrics` is the canonical view over the legacy accessors
-  (``stats`` / ``cache_info`` / ``prepared_info`` / ``partial_info``);
+- :meth:`Engine.metrics` is the canonical view over the engine's counters
+  (the legacy ``stats`` fields and the caches' own counters);
 - engine stats deltas under cache hits, prepared reuse and stream resume;
 - ``cpu_seconds`` is genuinely measured (not a copy of the wall clock).
 """
@@ -66,9 +66,9 @@ class TestProfileDeterminism:
 
     def test_profile_bypasses_result_cache(self, engine):
         engine.query(FOCAL, 5, method="cta")  # warm the cache
-        hits_before = engine.cache_info()["hits"]
+        hits_before = engine.metrics()["engine.result_cache.hits"]
         profile = engine.profile(FOCAL, 5, method="cta")
-        assert engine.cache_info()["hits"] == hits_before
+        assert engine.metrics()["engine.result_cache.hits"] == hits_before
         lookups = [s for s in profile.tracer.spans if s.name == "engine.cache.lookup"]
         assert lookups[0].attributes == {"bypassed": True, "outcome": "miss"}
 
@@ -161,19 +161,16 @@ class TestEngineMetrics:
         engine.query(FOCAL, 5, method="cta")  # cache hit
         metrics = engine.metrics()
         stats = engine.stats
-        cache = engine.cache_info()
-        prepared = engine.prepared_info()
-        partials = engine.partial_info()
         assert metrics["engine.queries"] == stats.queries
         assert metrics["engine.queries.cold"] == stats.cold_queries
-        assert metrics["engine.result_cache.hits"] == cache["hits"] == stats.cache_hits
-        assert metrics["engine.result_cache.misses"] == cache["misses"]
-        assert metrics["engine.result_cache.entries"] == cache["size"]
-        assert metrics["engine.prepared.builds"] == prepared["builds"]
-        assert metrics["engine.prepared.reuses"] == prepared["reuses"]
-        assert metrics["engine.prepared.entries"] == prepared["size"]
-        assert metrics["engine.partial_store.entries"] == partials["size"]
-        assert metrics["engine.partial_store.saved"] == partials["saves"]
+        assert metrics["engine.result_cache.hits"] == stats.cache_hits == 1
+        assert metrics["engine.result_cache.misses"] == 1
+        assert metrics["engine.result_cache.entries"] == 1
+        assert metrics["engine.prepared.builds"] == stats.prepared_builds == 1
+        assert metrics["engine.prepared.reuses"] == stats.prepared_reuses == 0
+        assert metrics["engine.prepared.entries"] == 1
+        assert metrics["engine.partial_store.entries"] == 0
+        assert metrics["engine.partial_store.saved"] == stats.partials_saved == 0
         assert metrics["engine.seconds.cold"] == stats.cold_seconds
 
     def test_each_number_has_one_canonical_name(self, engine):

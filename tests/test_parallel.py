@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Dataset, Engine, kspr
+from repro import ApproxKSPRResult, ApproxSpec, Dataset, Engine, kspr
 from repro.core.cta import cta
 from repro.data import anticorrelated_dataset, independent_dataset
 from repro.engine import QueryBatch, QuerySpec
@@ -110,12 +110,33 @@ class TestShardedExecutor:
         ] + [QuerySpec(focal=dataset.values[0] * 0.98, k=2)]  # duplicate of query 0
 
     def test_matches_engine_answers(self, dataset, specs):
-        engine = Engine(dataset)
-        expected = [engine.query(spec.focal, spec.k) for spec in specs]
-        report = ShardedExecutor(dataset, workers=1).run(specs)
-        assert not report.errors
-        for got, want in zip(report.results, expected):
-            assert_results_identical(got, want)
+        # Every branch of the shared prepare step, with and without pruning:
+        # tree-less sampling, the original-space variants, and (k_max=2)
+        # unpruned queries with k > k_max next to pruned ones.
+        focal = dataset.values[dataset.values.sum(axis=1).argmax()] * 0.98
+        branch_specs = list(specs) + [
+            QuerySpec(focal=focal, k=k, method="sample", options=(("samples", 400), ("seed", 2)))
+            for k in (2, 3)
+        ] + [
+            QuerySpec(focal=focal, k=3, method="op_cta"),
+            QuerySpec(focal=focal, k=2, method="olp_cta"),
+            QuerySpec(focal=focal, k=3),
+        ]
+        for prune in (True, False):
+            engine = Engine(dataset, k_max=2, prune_skyband=prune)
+            expected = [
+                engine.query(spec.focal, spec.k, spec.method, **spec.option_dict())
+                for spec in branch_specs
+            ]
+            report = ShardedExecutor(
+                dataset, workers=1, k_max=2, prune_skyband=prune
+            ).run(branch_specs)
+            assert not report.errors
+            for got, want in zip(report.results, expected):
+                if isinstance(want, ApproxKSPRResult):
+                    assert (got.hits, got.samples) == (want.hits, want.samples)
+                else:
+                    assert_results_identical(got, want)
 
     def test_multiprocess_matches_single_process(self, dataset, specs):
         single = ShardedExecutor(dataset, workers=1).run(specs)
@@ -129,6 +150,20 @@ class TestShardedExecutor:
         assert report.cache_hits == 1
         assert report.cold_queries == len(specs) - 1
         assert results_identical(report.results[0], report.results[-1])
+        # Two spellings of one query share the engine's canonical options:
+        # the default delta written out or left out, tolerance=None or absent.
+        focal = dataset.values[2] * 0.98
+        sample = (("samples", 300), ("seed", 4))
+        for pair in (
+            [
+                QuerySpec(focal=focal, k=2, method="sample", options=sample),
+                QuerySpec(focal=focal, k=2, method="sample",
+                          options=sample + (("delta", ApproxSpec().delta),)),
+            ],
+            [QuerySpec(focal=focal, k=2), QuerySpec(focal=focal, k=2, options=(("tolerance", None),))],
+        ):
+            spelled = ShardedExecutor(dataset, workers=1).run(pair)
+            assert spelled.cold_queries == 1 and spelled.cache_hits == 1
 
     def test_unpruned_mode_matches_plain_kspr(self, dataset):
         focal = dataset.values[3] * 0.97

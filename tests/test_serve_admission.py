@@ -261,7 +261,7 @@ def test_engine_level_absolute_deadline_truncates_into_checkpoint(small_engine):
     # The budget was dead on arrival: no work unit ran, the stream
     # checkpointed instead of serving a truncated answer as complete.
     assert all(not snapshot.done for snapshot in snapshots)
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     assert engine.stats.partials_saved == 1
     final = list(engine.query_stream(focal, 2))[-1]
     assert final.done and engine.stats.stream_resumes == 1

@@ -86,7 +86,7 @@ def test_identical_concurrent_answers_single_flight(case):
     # ONE exact stream execution for all of them.
     assert engine.stats.queries == clients + 1
     assert engine.stats.stream_queries == 1
-    assert engine.partial_info()["size"] == 0
+    assert engine.metrics()["engine.partial_store.entries"] == 0
 
     # Every waiter observed the very same exact result object.
     exacts = [exact for _answer, exact in results]
@@ -130,8 +130,8 @@ def test_distinct_concurrent_streams_leave_exact_stats(case):
     assert engine.stats.stream_queries == len(ks)
     assert engine.stats.cold_queries == len(ks)
     assert engine.stats.stream_resumes == 0
-    assert engine.partial_info()["size"] == 0
-    assert engine.cache_info()["size"] == len(ks)
+    assert engine.metrics()["engine.partial_store.entries"] == 0
+    assert engine.metrics()["engine.result_cache.entries"] == len(ks)
     assert service.admission.active == 0
     assert counter(service, "serve.streams.total") == len(ks)
     assert counter(service, "serve.disconnects.total") == 0
@@ -156,7 +156,7 @@ def test_stream_disconnect_checkpoints_and_resumes(case):
     asyncio.run(go())
 
     # The abandoned stream checkpointed, no capacity leaked.
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     assert engine.stats.partials_saved == 1
     assert service.admission.active == 0
     assert service.admission.live_checkouts() == []
@@ -242,7 +242,7 @@ def test_disconnect_during_refinement_cancels_and_releases_budget(case):
     # checkpoint resumes to the same answer a cold engine computes.
     # (Refinements stream with capture=False, so the resume must too — a
     # capture=True caller would correctly recompute instead.)
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K, capture=False))[-1]
     assert final.done and engine.stats.stream_resumes == 1
     assert_results_identical(

@@ -93,12 +93,12 @@ def test_truncated_stream_checkpoints_and_resumes_identically(case):
     engine = fresh_engine(dataset)
     first = list(engine.query_stream(focal, K, max_batches=1))
     assert len(first) == 1 and not first[0].done
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
 
     resumed = list(engine.query_stream(focal, K))
     assert resumed[-1].done
     assert engine.stats.stream_resumes == 1
-    assert engine.partial_info()["size"] == 0
+    assert engine.metrics()["engine.partial_store.entries"] == 0
 
     cold = fresh_engine(dataset).query(focal, K)
     assert_results_identical(resumed[-1].to_result(), cold)
@@ -122,7 +122,7 @@ def test_abandoning_the_iterator_checkpoints_too(case):
     iterator = engine.query_stream(focal, K)
     next(iterator)
     iterator.close()
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K))[-1]
     assert final.done and engine.stats.stream_resumes == 1
     assert_results_identical(final.to_result(), fresh_engine(dataset).query(focal, K))
@@ -134,7 +134,7 @@ def test_cancellation_mid_stream_is_resumable(case):
     cancel = threading.Event()
     cancel.set()
     assert list(engine.query_stream(focal, K, cancel=cancel)) == []
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     cancel.clear()
     final = list(engine.query_stream(focal, K, cancel=cancel))[-1]
     assert final.done
@@ -157,7 +157,7 @@ def test_deadline_zero_yields_nothing_but_checkpoints(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     assert list(engine.query_stream(focal, K, deadline=0.0)) == []
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
 
 
 def test_query_stream_validates_eagerly(case):
@@ -171,8 +171,8 @@ def test_query_stream_validates_eagerly(case):
         engine.query_stream(focal, K, max_batches=0)
     with pytest.raises(InvalidQueryError):
         engine.query_stream(focal, K, deadline=-1.0)
-    assert engine.partial_info()["size"] == 0
-    assert engine.partial_info()["saves"] == 0
+    assert engine.metrics()["engine.partial_store.entries"] == 0
+    assert engine.metrics()["engine.partial_store.saved"] == 0
 
 
 def test_capture_false_skips_frontier_but_streams_identically(case):
@@ -230,12 +230,12 @@ def test_capture_mismatch_declines_stale_checkpoint(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, capture=False, max_batches=1))
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     # The bracket-requesting caller recomputes instead of silently getting
     # frontier-less snapshots with the trivial upper bound.
     snapshots = list(engine.query_stream(focal, K))
     assert engine.stats.stream_resumes == 0
-    assert engine.partial_info()["resumes"] == 0  # the store agrees: nothing resumed
+    assert engine.metrics()["engine.partial_store.resumes"] == 0  # the store agrees: nothing resumed
     assert any(snapshot.frontier for snapshot in snapshots[:-1])
     # The cheap direction resumes: a capture=True checkpoint serves anyone.
     engine2 = fresh_engine(dataset)
@@ -285,14 +285,14 @@ def test_full_result_discards_shadowed_checkpoint(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, max_batches=1))
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     engine.query(focal, K)  # computes and caches the full answer
-    assert engine.partial_info()["size"] == 0, (
+    assert engine.metrics()["engine.partial_store.entries"] == 0, (
         "the checkpoint is unreachable once a full result shadows its key"
     )
     # And a cache-hit stream keeps the store clean.
     snapshots = list(engine.query_stream(focal, K))
-    assert snapshots[-1].done and engine.partial_info()["size"] == 0
+    assert snapshots[-1].done and engine.metrics()["engine.partial_store.entries"] == 0
 
 
 # --------------------------------------------------------------------- #
@@ -302,9 +302,9 @@ def test_affected_update_drops_partial_checkpoint(case):
     dataset, focal = case
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, max_batches=1))
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     engine.insert(dataset.values.max(axis=0) * 1.1)  # dominates the focal
-    assert engine.partial_info()["size"] == 0
+    assert engine.metrics()["engine.partial_store.entries"] == 0
     assert engine.stats.partials_invalidated == 1
     # The re-issued stream recomputes cold against the new state.
     final = list(engine.query_stream(focal, K))[-1]
@@ -317,7 +317,7 @@ def test_unaffected_update_keeps_partial_checkpoint_resumable(case):
     engine = fresh_engine(dataset)
     list(engine.query_stream(focal, K, max_batches=1))
     engine.insert(np.asarray(focal) * 0.5)  # dominated by the focal: rule 1
-    assert engine.partial_info()["size"] == 1
+    assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K))[-1]
     assert final.done and engine.stats.stream_resumes == 1
     assert_results_identical(final.to_result(), fresh_engine(engine.dataset).query(focal, K))
@@ -329,8 +329,9 @@ def test_partial_store_eviction_closes_checkpoints(case):
     list(engine.query_stream(focal, K, max_batches=1))
     other = np.asarray(focal) * 1.02
     list(engine.query_stream(other, K, max_batches=1))
-    info = engine.partial_info()
-    assert info["size"] == 1 and info["evictions"] == 1
+    metrics = engine.metrics()
+    assert metrics["engine.partial_store.entries"] == 1
+    assert metrics["engine.partial_store.evictions"] == 1
     # The evicted query recomputes from scratch; the retained one resumes.
     final = list(engine.query_stream(other, K))[-1]
     assert final.done and engine.stats.stream_resumes == 1
