@@ -87,7 +87,6 @@ def run_comparison(
         "speedup": speedup,
         "naive_regions": naive_regions,
         "engine_batch": report.summary(),
-        "engine_stats": engine.stats.as_dict(),
         # Result-cache and prepared-state counters, one name per number.
         "engine_metrics": engine.metrics(),
     }

@@ -203,8 +203,7 @@ class QueryBatch:
         if self.workers is not None and self.workers > 1:
             return self._run_sharded(specs)
         normalized = [coerce_spec(index, spec) for index, spec in enumerate(specs)]
-        hits_before = self.engine.stats.cache_hits
-        cold_before = self.engine.stats.cold_queries
+        hits_before, cold_before = _hit_and_cold_counts(self.engine)
 
         start = time.perf_counter()
         if self.max_workers == 1:
@@ -213,12 +212,13 @@ class QueryBatch:
             with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
                 outcomes = list(pool.map(self._run_one, normalized))
         wall = time.perf_counter() - start
+        hits_after, cold_after = _hit_and_cold_counts(self.engine)
 
         return BatchReport(
             outcomes=outcomes,
             wall_seconds=wall,
-            cache_hits=self.engine.stats.cache_hits - hits_before,
-            cold_queries=self.engine.stats.cold_queries - cold_before,
+            cache_hits=hits_after - hits_before,
+            cold_queries=cold_after - cold_before,
         )
 
     def _run_sharded(self, specs: Iterable[QuerySpec | tuple]) -> BatchReport:
@@ -328,8 +328,7 @@ class QueryBatch:
         brackets — the cheapest way to run a purely deadline-bounded batch.
         """
         normalized = [coerce_spec(index, spec) for index, spec in enumerate(specs)]
-        hits_before = self.engine.stats.cache_hits
-        cold_before = self.engine.stats.cold_queries
+        hits_before, cold_before = _hit_and_cold_counts(self.engine)
         start = time.perf_counter()
         expires_at = None if deadline is None else start + float(deadline)
         # One budget probes the batch-level cancellation flag; the per-query
@@ -365,13 +364,20 @@ class QueryBatch:
             except Exception as error:  # noqa: BLE001 - reported per query
                 outcome.error = error
             outcome.seconds = time.perf_counter() - query_start
+        hits_after, cold_after = _hit_and_cold_counts(self.engine)
 
         return BatchReport(
             outcomes=normalized,
             wall_seconds=time.perf_counter() - start,
-            cache_hits=self.engine.stats.cache_hits - hits_before,
-            cold_queries=self.engine.stats.cold_queries - cold_before,
+            cache_hits=hits_after - hits_before,
+            cold_queries=cold_after - cold_before,
         )
+
+
+def _hit_and_cold_counts(engine) -> tuple[int, int]:
+    """The engine's running result-cache hit and cold-query counts."""
+    metrics = engine.metrics()
+    return metrics["engine.result_cache.hits"], metrics["engine.queries.cold"]
 
 
 def run_batch(engine, specs: Iterable[QuerySpec | tuple], max_workers: int | None = None) -> BatchReport:

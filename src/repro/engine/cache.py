@@ -31,6 +31,7 @@ from typing import Callable, TypeVar
 import numpy as np
 
 from ..core.result import KSPRResult
+from ..obs.metrics import MetricsRegistry
 from ..robust import Tolerance
 
 __all__ = ["CacheEntry", "ResultCache", "PartialEntry", "PartialStore", "options_key"]
@@ -138,8 +139,10 @@ class ResultCache:
     as a true single-slot LRU (a hit refreshes the slot, the next distinct
     ``put`` replaces it).
 
-    Not thread-safe by itself; :class:`repro.engine.Engine` serialises access
-    through its own lock.
+    Its counters live in :attr:`registry` under the canonical
+    ``engine.result_cache.*`` names; :meth:`repro.engine.Engine.metrics_registry`
+    merges them.  Not thread-safe by itself; :class:`repro.engine.Engine`
+    serialises access through its own lock.
     """
 
     def __init__(self, capacity: int = 512) -> None:
@@ -147,12 +150,13 @@ class ResultCache:
             raise ValueError("cache capacity must be non-negative")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, CacheEntry] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.invalidated = 0
-        self.rekeyed = 0
+        self.registry = MetricsRegistry()
+        self._m_hits = self.registry.counter("engine.result_cache.hits")
+        self._m_misses = self.registry.counter("engine.result_cache.misses")
+        self._m_insertions = self.registry.counter("engine.result_cache.insertions")
+        self._m_evictions = self.registry.counter("engine.result_cache.evictions")
+        self._m_invalidated = self.registry.counter("engine.result_cache.invalidated")
+        self._m_rekeyed = self.registry.counter("engine.result_cache.rekeyed")
 
     # ------------------------------------------------------------------ #
     # container protocol
@@ -178,10 +182,10 @@ class ResultCache:
         """The cached result for ``key``, or None; refreshes LRU order on a hit."""
         entry = self._entries.get(key)
         if entry is None:
-            self.misses += 1
+            self._m_misses.inc()
             return None
         self._entries.move_to_end(key)
-        self.hits += 1
+        self._m_hits.inc()
         return entry.result
 
     def put(self, entry: CacheEntry) -> None:
@@ -192,10 +196,10 @@ class ResultCache:
             self._entries[key] = entry
             return
         self._entries[key] = entry
-        self.insertions += 1
+        self._m_insertions.inc()
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.evictions += 1
+            self._m_evictions.inc()
 
     # ------------------------------------------------------------------ #
     # update-driven invalidation
@@ -204,37 +208,17 @@ class ResultCache:
         self,
         new_fingerprint: str,
         is_affected: Callable[[CacheEntry], bool],
-    ) -> tuple[int, int]:
+    ) -> None:
         """Reconcile the cache with a dataset update.
 
         Entries for which ``is_affected`` returns True are dropped; the rest
         are re-keyed under ``new_fingerprint`` (their answers are provably
-        unchanged by the update) with LRU order preserved.  Returns
-        ``(retained, dropped)`` counts.  A raising ``is_affected`` leaves
-        the cache exactly as it was.
+        unchanged by the update) with LRU order preserved.  A raising
+        ``is_affected`` leaves the cache exactly as it was.
         """
         self._entries, dropped = _rekey(self._entries, new_fingerprint, is_affected)
-        self.invalidated += len(dropped)
-        self.rekeyed += len(self._entries)
-        return len(self._entries), len(dropped)
-
-    # ------------------------------------------------------------------ #
-    # reporting
-    # ------------------------------------------------------------------ #
-    def info(self) -> dict[str, int | float]:
-        """Counters in a plain dict (for logs, benchmarks and tests)."""
-        lookups = self.hits + self.misses
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": (self.hits / lookups) if lookups else 0.0,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "invalidated": self.invalidated,
-            "rekeyed": self.rekeyed,
-        }
+        self._m_invalidated.inc(len(dropped))
+        self._m_rekeyed.inc(len(self._entries))
 
 
 @dataclass
@@ -296,8 +280,10 @@ class PartialStore:
     differences: a ``pop`` (checkout) removes the entry — a checkpoint must
     never be advanced by two consumers concurrently — and every entry that
     leaves the store without being resumed is ``close()``d so suspended
-    worker pools are released.  Not thread-safe by itself;
-    :class:`repro.engine.Engine` serialises access through its own lock.
+    worker pools are released.  Its counters live in :attr:`registry` under
+    the canonical ``engine.partial_store.*`` names.  Not thread-safe by
+    itself; :class:`repro.engine.Engine` serialises access through its own
+    lock.
     """
 
     def __init__(self, capacity: int = 32) -> None:
@@ -305,10 +291,11 @@ class PartialStore:
             raise ValueError("partial store capacity must be non-negative")
         self.capacity = capacity
         self._entries: OrderedDict[tuple, PartialEntry] = OrderedDict()
-        self.saves = 0
-        self.resumes = 0
-        self.evictions = 0
-        self.invalidated = 0
+        self.registry = MetricsRegistry()
+        self._m_saved = self.registry.counter("engine.partial_store.saved")
+        self._m_resumes = self.registry.counter("engine.partial_store.resumes")
+        self._m_evictions = self.registry.counter("engine.partial_store.evictions")
+        self._m_invalidated = self.registry.counter("engine.partial_store.invalidated")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -332,7 +319,7 @@ class PartialStore:
         """Check a checkpoint out of the store (it must be re-``put`` to persist)."""
         entry = self._entries.pop(key, None)
         if entry is not None:
-            self.resumes += 1
+            self._m_resumes.inc()
         return entry
 
     def discard(self, key: tuple) -> None:
@@ -354,11 +341,11 @@ class PartialStore:
         if existing is not None and existing.query is not entry.query:
             existing.close()
         self._entries[key] = entry
-        self.saves += 1
+        self._m_saved.inc()
         while len(self._entries) > self.capacity:
             _, evicted = self._entries.popitem(last=False)
             evicted.close()
-            self.evictions += 1
+            self._m_evictions.inc()
 
     def clear(self) -> None:
         """Close and drop every checkpoint (counters are preserved)."""
@@ -370,7 +357,7 @@ class PartialStore:
         self,
         new_fingerprint: str,
         is_affected: Callable[[PartialEntry], bool],
-    ) -> tuple[int, int]:
+    ) -> None:
         """Reconcile the checkpoints with a dataset update.
 
         Affected entries are closed and dropped (their suspended computation
@@ -378,22 +365,10 @@ class PartialStore:
         unaffected ones are re-keyed under ``new_fingerprint`` — the update
         provably cannot change their answer *or* their pruned competitor
         input, so the suspended computation remains exactly the one a cold
-        re-run would perform.  Returns ``(retained, dropped)``.  A raising
-        ``is_affected`` leaves every checkpoint untouched (and still open).
+        re-run would perform.  A raising ``is_affected`` leaves every
+        checkpoint untouched (and still open).
         """
         self._entries, dropped = _rekey(self._entries, new_fingerprint, is_affected)
         for entry in dropped:
             entry.close()
-        self.invalidated += len(dropped)
-        return len(self._entries), len(dropped)
-
-    def info(self) -> dict[str, int]:
-        """Counters in a plain dict (for logs and tests)."""
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "saves": self.saves,
-            "resumes": self.resumes,
-            "evictions": self.evictions,
-            "invalidated": self.invalidated,
-        }
+        self._m_invalidated.inc(len(dropped))

@@ -97,51 +97,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from ..live.updates import AppliedBatch, UpdateBatch, UpdateOp
     from ..snapshot.store import SnapshotStore
 
-__all__ = ["Engine", "EngineStats"]
-
-
-@dataclass
-class EngineStats:
-    """Serving-side counters (the per-query :class:`QueryStats` still travel
-    with each result)."""
-
-    queries: int = 0
-    cache_hits: int = 0
-    cold_queries: int = 0
-    prepared_builds: int = 0
-    prepared_reuses: int = 0
-    inserts: int = 0
-    deletes: int = 0
-    entries_invalidated: int = 0
-    entries_retained: int = 0
-    adopted_results: int = 0
-    stream_queries: int = 0
-    stream_resumes: int = 0
-    partials_saved: int = 0
-    partials_invalidated: int = 0
-    cold_seconds: float = 0.0
-    prepare_seconds: float = 0.0
-
-    def as_dict(self) -> dict[str, float]:
-        """Plain-dict view for logs and benchmark JSON."""
-        return {
-            "queries": self.queries,
-            "cache_hits": self.cache_hits,
-            "cold_queries": self.cold_queries,
-            "prepared_builds": self.prepared_builds,
-            "prepared_reuses": self.prepared_reuses,
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-            "entries_invalidated": self.entries_invalidated,
-            "entries_retained": self.entries_retained,
-            "adopted_results": self.adopted_results,
-            "stream_queries": self.stream_queries,
-            "stream_resumes": self.stream_resumes,
-            "partials_saved": self.partials_saved,
-            "partials_invalidated": self.partials_invalidated,
-            "cold_seconds": self.cold_seconds,
-            "prepare_seconds": self.prepare_seconds,
-        }
+__all__ = ["Engine"]
 
 
 @dataclass
@@ -270,8 +226,20 @@ class Engine:
         self._live: "LiveSession | None" = None
         self._update_seq = 0
         self._lock = threading.RLock()
-        self.stats = EngineStats()
-        self.stats.prepare_seconds += time.perf_counter() - prepare_start
+        # Engine-level counters, created once and incremented where each
+        # event happens; the two stores count their own events.
+        self._registry = MetricsRegistry()
+        self._m_queries = self._registry.counter("engine.queries")
+        self._m_cold = self._registry.counter("engine.queries.cold")
+        self._m_stream_queries = self._registry.counter("engine.stream.queries")
+        self._m_prepared_builds = self._registry.counter("engine.prepared.builds")
+        self._m_prepared_reuses = self._registry.counter("engine.prepared.reuses")
+        self._m_inserts = self._registry.counter("engine.updates.inserts")
+        self._m_deletes = self._registry.counter("engine.updates.deletes")
+        self._m_adopted = self._registry.counter("engine.result_cache.adopted")
+        self._g_cold_seconds = self._registry.gauge("engine.seconds.cold")
+        self._g_prepare_seconds = self._registry.gauge("engine.seconds.prepare")
+        self._g_prepare_seconds.set(time.perf_counter() - prepare_start)
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -387,8 +355,7 @@ class Engine:
         with self._lock:
             cached = self._result_cache.get(key)
             if cached is not None:
-                self.stats.queries += 1
-                self.stats.cache_hits += 1
+                self._m_queries.inc()
             return cached
 
     def skyband_ids(self, k: int) -> set[int]:
@@ -407,68 +374,27 @@ class Engine:
             return bbs_skyline(self._shared_tree)
 
     def metrics_registry(self) -> MetricsRegistry:
-        """Every engine-side counter as one canonical :class:`MetricsRegistry`.
+        """Every engine-side counter as one fresh canonical :class:`MetricsRegistry`.
 
-        Each quantity appears exactly once, under its canonical dotted name
-        (``engine.queries``, ``engine.result_cache.hits``,
-        ``engine.partial_store.saved``, …).  Where the :class:`EngineStats`
-        fields and a cache's own counters count the same event (for example
-        ``EngineStats.cache_hits`` and the result cache's hits), the
-        registry records it once.  Counters land as :class:`Counter`,
-        sizes/capacities/accumulated seconds as :class:`Gauge` — ready for
-        :func:`repro.obs.registry_to_prometheus`.
+        Merges the engine's own instruments (``engine.queries``,
+        ``engine.prepared.*``, ``engine.seconds.*``, …) with the result
+        cache's and the checkpoint store's, each of which counts its own
+        events, then sets the point-in-time gauges (entries, capacities,
+        cardinality).  Every event is counted once, at the place it
+        happens — ready for :func:`repro.obs.registry_to_prometheus`.
         """
         registry = MetricsRegistry()
         with self._lock:
-            stats = self.stats
-            counters = {
-                "engine.queries": stats.queries,
-                "engine.queries.cold": stats.cold_queries,
-                "engine.prepared.builds": stats.prepared_builds,
-                "engine.prepared.reuses": stats.prepared_reuses,
-                "engine.updates.inserts": stats.inserts,
-                "engine.updates.deletes": stats.deletes,
-                "engine.result_cache.retained": stats.entries_retained,
-                "engine.result_cache.adopted": stats.adopted_results,
-                "engine.stream.queries": stats.stream_queries,
-                "engine.stream.resumes": stats.stream_resumes,
-            }
-            gauges = {
-                "engine.seconds.cold": stats.cold_seconds,
-                "engine.seconds.prepare": stats.prepare_seconds,
-                "engine.prepared.entries": len(self._prepared),
-                "engine.prepared.capacity": self._prepared_capacity,
-                "engine.dataset.cardinality": self._snapshot.cardinality,
-            }
-            cache = self._result_cache.info()
-            partials = self._partials.info()
-        # The caches' own counters are authoritative for cache-level numbers
-        # (EngineStats.cache_hits / partials_saved / entries_invalidated
-        # count the same events and are deliberately not re-recorded).
-        for legacy, name, kind in (
-            ("size", "engine.result_cache.entries", "gauge"),
-            ("capacity", "engine.result_cache.capacity", "gauge"),
-            ("hits", "engine.result_cache.hits", "counter"),
-            ("misses", "engine.result_cache.misses", "counter"),
-            ("insertions", "engine.result_cache.insertions", "counter"),
-            ("evictions", "engine.result_cache.evictions", "counter"),
-            ("invalidated", "engine.result_cache.invalidated", "counter"),
-            ("rekeyed", "engine.result_cache.rekeyed", "counter"),
-        ):
-            (gauges if kind == "gauge" else counters)[name] = cache[legacy]
-        for legacy, name, kind in (
-            ("size", "engine.partial_store.entries", "gauge"),
-            ("capacity", "engine.partial_store.capacity", "gauge"),
-            ("saves", "engine.partial_store.saved", "counter"),
-            ("resumes", "engine.partial_store.resumes", "counter"),
-            ("evictions", "engine.partial_store.evictions", "counter"),
-            ("invalidated", "engine.partial_store.invalidated", "counter"),
-        ):
-            (gauges if kind == "gauge" else counters)[name] = partials[legacy]
-        for name, value in counters.items():
-            registry.counter(name).inc(value)
-        for name, value in gauges.items():
-            registry.gauge(name).set(value)
+            registry.merge(self._registry)
+            registry.merge(self._result_cache.registry)
+            registry.merge(self._partials.registry)
+            registry.gauge("engine.prepared.entries").set(len(self._prepared))
+            registry.gauge("engine.prepared.capacity").set(self._prepared_capacity)
+            registry.gauge("engine.result_cache.entries").set(len(self._result_cache))
+            registry.gauge("engine.result_cache.capacity").set(self._result_cache.capacity)
+            registry.gauge("engine.partial_store.entries").set(len(self._partials))
+            registry.gauge("engine.partial_store.capacity").set(self._partials.capacity)
+            registry.gauge("engine.dataset.cardinality").set(self._snapshot.cardinality)
         return registry
 
     def metrics(self) -> dict[str, float]:
@@ -609,10 +535,8 @@ class Engine:
         with tracer.span("engine.query", method=method_name, k=int(k)) as query_span:
             with tracer.span("engine.cache.lookup", bypassed=not use_cache) as lookup:
                 with self._lock:
-                    self.stats.queries += 1
+                    self._m_queries.inc()
                     cached = self._result_cache.get(key) if use_cache else None
-                    if cached is not None:
-                        self.stats.cache_hits += 1
                 lookup.set(outcome="hit" if cached is not None else "miss")
             if cached is not None:
                 query_span.set(cache="hit")
@@ -678,8 +602,8 @@ class Engine:
                     )
 
         with self._lock:
-            self.stats.cold_queries += 1
-            self.stats.cold_seconds += cold_seconds
+            self._m_cold.inc()
+            self._g_cold_seconds.set(self._g_cold_seconds.value + cold_seconds)
             # Guard against a concurrent update: never cache a result computed
             # against a superseded dataset state.
             if use_cache and snapshot is self._snapshot:
@@ -783,12 +707,11 @@ class Engine:
         tracer = current_tracer()
 
         with self._lock:
-            self.stats.queries += 1
-            self.stats.stream_queries += 1
+            self._m_queries.inc()
+            self._m_stream_queries.inc()
             cached = self._result_cache.get(key)
             checkpoint = None
             if cached is not None:
-                self.stats.cache_hits += 1
                 # A full result shadows any checkpoint under the same key
                 # forever; release the orphan's resources now.
                 self._partials.discard(key)
@@ -803,7 +726,6 @@ class Engine:
                     checkpoint = None
                 elif checkpoint is not None:
                     checkpoint = self._partials.pop(key)
-                    self.stats.stream_resumes += 1
         if tracer.enabled:
             # Created and finished immediately (never entered as a context
             # manager): the generator frame runs in its consumer's context,
@@ -882,15 +804,21 @@ class Engine:
                 **options,
             )
 
+        # Wall time spent inside this advance slice (the consumer's time
+        # between yields excluded), charged to ``engine.seconds.cold`` when
+        # the slice ends — paused or finished.
+        seconds = 0.0
+        started = time.perf_counter()
         try:
             for partial in anytime.advance(
                 deadline=deadline, deadline_at=deadline_at,
                 max_batches=max_batches, cancel=cancel,
             ):
+                seconds += time.perf_counter() - started
                 if partial.done:
                     result = anytime.result()
                     with self._lock:
-                        self.stats.cold_queries += 1
+                        self._m_cold.inc()
                         # Never cache a result whose dataset state has been
                         # superseded mid-stream.
                         if self._snapshot.fingerprint() == fingerprint:
@@ -898,7 +826,11 @@ class Engine:
                     yield PartialKSPRResult.from_result(result, batches=partial.batches)
                 else:
                     yield partial
+                started = time.perf_counter()
+            seconds += time.perf_counter() - started
         finally:
+            with self._lock:
+                self._g_cold_seconds.set(self._g_cold_seconds.value + seconds)
             if anytime.failed:
                 # A crashed stream must never be checkpointed: resuming it
                 # would silently serve a truncated answer as complete.
@@ -924,7 +856,6 @@ class Engine:
                                 workers=workers,
                             )
                         )
-                        self.stats.partials_saved += 1
                         if tracer.enabled:
                             saved = tracer.span(
                                 "engine.stream.checkpoint", method=method_name, k=int(k)
@@ -961,7 +892,7 @@ class Engine:
             if fingerprint != self._snapshot.fingerprint():
                 return False
             self._install(fingerprint, focal_array, int(k), method_name, opts, result)
-            self.stats.adopted_results += 1
+            self._m_adopted.inc()
             return True
 
     def _install(
@@ -1062,6 +993,8 @@ class Engine:
             engine._result_cache.put(entry)
         for entry in store.load_partial_entries(snapshot_id):
             engine._partials.put(entry)
+        replayed_updates = 0
+        fallback = False
         if replay_to is not None and replay_to != snapshot_id:
             target = store.meta(replay_to)
             try:
@@ -1071,7 +1004,7 @@ class Engine:
                         engine.delete(update.record_id)
                     else:
                         engine.insert(update.values, record_id=update.record_id)
-                    store.replayed_updates += 1
+                    replayed_updates += 1
                 replayed = engine.fingerprint == target.fingerprint
             except ReproError:
                 # A diff the update path rejects (id below the floor, an
@@ -1081,9 +1014,9 @@ class Engine:
                 engine._stamp_watermark(target.id_high_watermark)
                 engine._committed_parent = replay_to
             else:
-                store.restore_fallbacks += 1
+                fallback = True
                 engine = cls._restore_at(store, replay_to, engine_options)
-        store.restores += 1
+        store._record_restore(replayed_updates, fallback)
         return engine
 
     @classmethod
@@ -1148,7 +1081,7 @@ class Engine:
             entry = self._prepared.get(pkey)
             if entry is not None:
                 self._prepared.move_to_end(pkey)
-                self.stats.prepared_reuses += 1
+                self._m_prepared_reuses.inc()
                 return entry, snapshot
             # The exact and sampling entries of one (focal, band, space)
             # share the identical pruned partition; reuse the sibling's
@@ -1178,15 +1111,15 @@ class Engine:
             raced = self._prepared.get(pkey)
             if raced is not None:
                 self._prepared.move_to_end(pkey)
-                self.stats.prepared_reuses += 1
+                self._m_prepared_reuses.inc()
                 return raced, snapshot
             if build_tree:
                 prepared.hyperplane_cache = self._hyperplanes.setdefault(
                     (focal.tobytes(), space), {}
                 )
             self._prepared[pkey] = entry
-            self.stats.prepared_builds += 1
-            self.stats.prepare_seconds += prepare_seconds
+            self._m_prepared_builds.inc()
+            self._g_prepare_seconds.set(self._g_prepare_seconds.value + prepare_seconds)
             while len(self._prepared) > self._prepared_capacity:
                 _, evicted = self._prepared.popitem(last=False)
                 self._drop_hyperplanes_if_unused(evicted)
@@ -1273,13 +1206,13 @@ class Engine:
                     self._shared_tree.rebind_dataset(self._backing_view())
                     self._shared_tree.insert_position(delta.position)
                     pairs.append((delta, True))
-                    self.stats.inserts += 1
+                    self._m_inserts.inc()
                     assigned.append(UpdateOp(op="insert", record_id=rid, values=delta.values))
                 else:
                     delta = self._skyband.delete(int(op.record_id))
                     self._shared_tree.delete_position(delta.position)
                     pairs.append((delta, False))
-                    self.stats.deletes += 1
+                    self._m_deletes.inc()
                     assigned.append(op)
             frozen = tuple(pairs)
             self._finish_update_batch(frozen)
@@ -1447,17 +1380,14 @@ class Engine:
                 for delta, inserted in pairs
             )
 
-        retained, dropped = self._result_cache.apply_update(new_fingerprint, damaged)
-        self.stats.entries_invalidated += dropped
-        self.stats.entries_retained += retained
+        self._result_cache.apply_update(new_fingerprint, damaged)
 
         # Paused streams follow the same rules 1-4: an update that provably
         # cannot change an entry's answer cannot change its (pruned)
         # competitor input either, so the suspended computation stays exactly
         # the one a cold re-run would perform and the checkpoint is re-keyed;
         # affected checkpoints are closed and dropped.
-        _, partials_dropped = self._partials.apply_update(new_fingerprint, damaged)
-        self.stats.partials_invalidated += partials_dropped
+        self._partials.apply_update(new_fingerprint, damaged)
 
         stale = [pkey for pkey, entry in self._prepared.items() if damaged(entry)]
         for pkey in stale:

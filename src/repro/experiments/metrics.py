@@ -9,10 +9,9 @@ Since the unified metrics registry (:mod:`repro.obs`) exists, a
 ``MeasuredRun`` is a *view* over canonical metrics rather than a fourth
 naming scheme: :meth:`MeasuredRun.from_result` lifts the result's statistics
 through :func:`~repro.obs.stats_to_registry` and reads the canonical
-``query.*`` names back out, and :meth:`MeasuredRun.as_registry` exposes any
-run under its canonical names for the Prometheus exporter.  The flat metric
-keys themselves are kept stable (they are the column names of every
-committed benchmark JSON and figure script).
+``query.*`` names back out.  The flat metric keys themselves are kept stable
+(they are the column names of every committed benchmark JSON and figure
+script).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.result import KSPRResult
-from ..obs.metrics import MetricsRegistry, canonical_name, stats_to_registry
+from ..obs.metrics import stats_to_registry
 
 __all__ = ["MeasuredRun"]
 
@@ -72,19 +71,6 @@ class MeasuredRun:
             "index_build_seconds": snapshot["query.seconds.index_build"],
         }
         return cls(method=method, config=dict(config or {}), metrics=metrics)
-
-    def as_registry(self) -> MetricsRegistry:
-        """This run's metrics as gauges under their canonical names.
-
-        Legacy flat keys resolve through
-        :data:`~repro.obs.LEGACY_ALIASES` (``response_seconds`` becomes
-        ``query.seconds.response``); keys with no canonical spelling
-        (derived quantities like ``space_mb``) pass through unchanged.
-        """
-        registry = MetricsRegistry()
-        for name, value in self.metrics.items():
-            registry.gauge(canonical_name(name)).set(float(value))
-        return registry
 
     def row(self, columns: list[str]) -> list[Any]:
         """Values for the requested columns (config keys first, then metrics)."""

@@ -27,14 +27,12 @@ from .export import (
 from .metrics import (
     DEFAULT_LATENCY_BUCKETS,
     DEFAULT_LP_BUCKETS,
-    LEGACY_ALIASES,
     LP_CONSTRAINTS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     active_registry,
-    canonical_name,
     stats_to_registry,
     use_registry,
 )
@@ -68,10 +66,8 @@ __all__ = [
     "DEFAULT_LP_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "LP_CONSTRAINTS",
-    "LEGACY_ALIASES",
     "active_registry",
     "use_registry",
-    "canonical_name",
     "stats_to_registry",
     # export
     "trace_to_jsonl",

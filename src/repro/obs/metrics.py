@@ -1,13 +1,13 @@
 """Unified metrics registry — one canonical name per number.
 
-Before this module the same quantity appeared under several spellings:
-``EngineStats.cache_hits``, ``ResultCache.info()["hits"]`` and
-``MeasuredRun.metrics["response_seconds"]`` all travelled on private dicts
-with no shared schema.  The :class:`MetricsRegistry` gives every counter a
-single dotted canonical name (``engine.cache.hits``,
-``query.lp.feasibility_calls``, …), exposes the three standard instrument
-kinds — :class:`Counter`, :class:`Gauge`, :class:`Histogram` — and feeds
-the exporters in :mod:`repro.obs.export`.
+Every counter in the stack lives in a :class:`MetricsRegistry` under one
+dotted canonical name declared in :mod:`repro.obs.names`
+(``engine.result_cache.hits``, ``query.lp.feasibility_calls``, …).  A
+component creates its instruments once, under literal names, and increments
+them where the event happens; there is no second copy of the count to
+reconcile.  The registry exposes the three standard instrument kinds —
+:class:`Counter`, :class:`Gauge`, :class:`Histogram` — and feeds the
+exporters in :mod:`repro.obs.export`.
 
 Histograms carry **fixed bucket bounds** chosen at construction (default:
 powers of two), so merging histograms from parallel shards is exact — the
@@ -19,11 +19,10 @@ hot paths call :func:`active_registry` and skip all work when it returns
 ``None`` (the default), so the disabled overhead is one context-variable
 read per LP probe.
 
-:data:`LEGACY_ALIASES` maps every pre-existing spelling from
-``EngineStats``/cache dicts/``MeasuredRun`` to its canonical name, and
 :func:`stats_to_registry` lifts a :class:`~repro.core.result.QueryStats`
-into canonical form — this is what makes ``MeasuredRun`` a *view* over the
-registry rather than a fourth naming scheme.
+into canonical ``query.*`` form — this is what makes
+:class:`~repro.experiments.metrics.MeasuredRun` a *view* over the registry
+rather than a separate naming scheme.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import contextlib
 import math
 import threading
 from contextvars import ContextVar
-from typing import Any, Iterator, Mapping
+from typing import Any, Iterator
 
 from .names import (
     LP_CONSTRAINTS,
@@ -52,10 +51,8 @@ __all__ = [
     "DEFAULT_LP_BUCKETS",
     "DEFAULT_LATENCY_BUCKETS",
     "LP_CONSTRAINTS",
-    "LEGACY_ALIASES",
     "active_registry",
     "use_registry",
-    "canonical_name",
     "stats_to_registry",
 ]
 
@@ -76,62 +73,6 @@ DEFAULT_LP_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 
 DEFAULT_LATENCY_BUCKETS: tuple[float, ...] = tuple(
     0.00025 * 2.0 ** exponent for exponent in range(16)
 ) + (math.inf,)
-
-#: Every legacy spelling -> its canonical dotted name.  ``EngineStats``
-#: fields, ``ResultCache.info()`` / ``PartialStore.info()`` keys and
-#: ``MeasuredRun`` metric keys all resolve here.
-LEGACY_ALIASES: dict[str, str] = {
-    # EngineStats fields.
-    "queries": "engine.queries",
-    "cache_hits": "engine.result_cache.hits",
-    "cold_queries": "engine.queries.cold",
-    "prepared_builds": "engine.prepared.builds",
-    "prepared_reuses": "engine.prepared.reuses",
-    "inserts": "engine.updates.inserts",
-    "deletes": "engine.updates.deletes",
-    "entries_invalidated": "engine.result_cache.invalidated",
-    "entries_retained": "engine.result_cache.retained",
-    "adopted_results": "engine.result_cache.adopted",
-    "stream_queries": "engine.stream.queries",
-    "stream_resumes": "engine.stream.resumes",
-    "partials_saved": "engine.partial_store.saved",
-    "partials_invalidated": "engine.partial_store.invalidated",
-    "cold_seconds": "engine.seconds.cold",
-    "prepare_seconds": "engine.seconds.prepare",
-    # ResultCache.info() keys (cache-local counters).
-    "hits": "engine.result_cache.hits",
-    "misses": "engine.result_cache.misses",
-    "insertions": "engine.result_cache.insertions",
-    "evictions": "engine.result_cache.evictions",
-    "invalidated": "engine.result_cache.invalidated",
-    "rekeyed": "engine.result_cache.rekeyed",
-    "entries": "engine.result_cache.entries",
-    "capacity": "engine.result_cache.capacity",
-    # MeasuredRun / QueryStats spellings.
-    "response_seconds": "query.seconds.response",
-    "cpu_seconds": "query.seconds.cpu",
-    "io_seconds": "query.seconds.io",
-    "processed_records": "query.processed_records",
-    "competitor_records": "query.competitor_records",
-    "dominator_records": "query.dominator_records",
-    "celltree_nodes": "query.celltree.nodes",
-    "cells_pruned_by_bounds": "query.celltree.pruned_by_bounds",
-    "cells_reported_early": "query.celltree.reported_early",
-    "batches": "query.batches",
-    "lp_feasibility_calls": "query.lp.feasibility_calls",
-    "lp_optimize_calls": "query.lp.optimize_calls",
-    "lp_total_constraints": "query.lp.total_constraints",
-    "index_node_accesses": "query.index.node_accesses",
-    "index_build_seconds": "query.seconds.index_build",
-    "space_bytes": "query.space_bytes",
-    "regions": "query.regions",
-}
-
-
-def canonical_name(name: str) -> str:
-    """Resolve *name* through :data:`LEGACY_ALIASES` (canonical names pass through)."""
-    return LEGACY_ALIASES.get(name, name)
-
 
 class Counter:
     """Monotonically increasing numeric instrument."""
@@ -253,7 +194,6 @@ class MetricsRegistry:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
     def _get_or_create(self, cls, name: str, help: str, **kwargs):
-        name = canonical_name(name)
         with self._lock:
             instrument = self._instruments.get(name)
             if instrument is None:
@@ -267,7 +207,7 @@ class MetricsRegistry:
             return instrument
 
     def counter(self, name: str, help: str = "") -> Counter:
-        """Get or create the counter *name* (legacy spellings are canonicalised)."""
+        """Get or create the counter *name*."""
         return self._get_or_create(Counter, name, help)
 
     def gauge(self, name: str, help: str = "") -> Gauge:
@@ -288,7 +228,8 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold every instrument of *other* into this registry."""
         for instrument in other.instruments():
-            mine = self._get_or_create(type(instrument), instrument.name, instrument.help)
+            extra = {"bounds": instrument.bounds} if isinstance(instrument, Histogram) else {}
+            mine = self._get_or_create(type(instrument), instrument.name, instrument.help, **extra)
             mine.merge(instrument)
 
     def snapshot(self) -> dict[str, Any]:
@@ -343,22 +284,18 @@ def stats_to_registry(
     a result is a *view* over this registry rather than a separate schema.
     """
     registry = registry if registry is not None else MetricsRegistry()
-    counters: Mapping[str, float] = {
-        "query.processed_records": stats.processed_records,
-        "query.competitor_records": stats.competitor_records,
-        "query.dominator_records": stats.dominator_records,
-        "query.celltree.nodes": stats.celltree_nodes,
-        "query.celltree.pruned_by_bounds": stats.cells_pruned_by_bounds,
-        "query.celltree.reported_early": stats.cells_reported_early,
-        "query.batches": stats.batches,
-        "query.lp.feasibility_calls": stats.lp.feasibility_calls,
-        "query.lp.optimize_calls": stats.lp.optimize_calls,
-        "query.lp.total_constraints": stats.lp.total_constraints,
-        "query.index.node_accesses": stats.index_node_accesses,
-        "query.space_bytes": stats.space_bytes,
-    }
-    for name, value in counters.items():
-        registry.counter(name).inc(value)
+    registry.counter("query.processed_records").inc(stats.processed_records)
+    registry.counter("query.competitor_records").inc(stats.competitor_records)
+    registry.counter("query.dominator_records").inc(stats.dominator_records)
+    registry.counter("query.celltree.nodes").inc(stats.celltree_nodes)
+    registry.counter("query.celltree.pruned_by_bounds").inc(stats.cells_pruned_by_bounds)
+    registry.counter("query.celltree.reported_early").inc(stats.cells_reported_early)
+    registry.counter("query.batches").inc(stats.batches)
+    registry.counter("query.lp.feasibility_calls").inc(stats.lp.feasibility_calls)
+    registry.counter("query.lp.optimize_calls").inc(stats.lp.optimize_calls)
+    registry.counter("query.lp.total_constraints").inc(stats.lp.total_constraints)
+    registry.counter("query.index.node_accesses").inc(stats.index_node_accesses)
+    registry.counter("query.space_bytes").inc(stats.space_bytes)
     if regions is not None:
         registry.counter(QUERY_REGIONS).inc(regions)
     registry.gauge(QUERY_SECONDS_RESPONSE).set(stats.response_seconds)

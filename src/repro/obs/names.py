@@ -8,16 +8,15 @@ statically enforces the contract: a string literal passed to
 ``repro`` must appear in this catalogue, and dynamic (f-string) names must
 extend one of the families declared in :data:`DYNAMIC_METRIC_PREFIXES`.
 
-The catalogue is the *naming* authority only; instruments still live in
-:class:`~repro.obs.metrics.MetricsRegistry`, and the historical spellings
-keep resolving through :data:`~repro.obs.metrics.LEGACY_ALIASES` (which
-maps into this namespace — a consistency test asserts every alias target
-is catalogued).
+The catalogue is the *naming* authority only; instruments live in
+:class:`~repro.obs.metrics.MetricsRegistry`.  Each component creates its
+instruments once, passing the name as a literal (or one of the constants
+below), so OBS001 checks every call site statically.
 
-Organisation: serving-tier names are individual constants (call sites
-reference them directly); the engine and per-query families are declared
-as tuples because their call sites are table-driven (dict literals keyed
-by these names feed ``registry.counter(name)`` loops).
+Organisation: serving-tier names and the ``query.*`` names referenced from
+several modules are individual constants; the engine, snapshot and live
+families are declared as tuples, and their owners spell the names out as
+literals where they create the instruments.
 """
 
 from __future__ import annotations
@@ -142,7 +141,6 @@ QUERY_METRIC_NAMES: tuple[str, ...] = (
     QUERY_REGIONS,
     QUERY_SECONDS_RESPONSE,
     QUERY_SECONDS_CPU,
-    "query.seconds.io",
     QUERY_SECONDS_INDEX_BUILD,
     "query.processed_records",
     "query.competitor_records",
@@ -175,13 +173,11 @@ ENGINE_METRIC_NAMES: tuple[str, ...] = (
     "engine.result_cache.insertions",
     "engine.result_cache.evictions",
     "engine.result_cache.invalidated",
-    "engine.result_cache.retained",
     "engine.result_cache.adopted",
     "engine.result_cache.rekeyed",
     "engine.result_cache.entries",
     "engine.result_cache.capacity",
     "engine.stream.queries",
-    "engine.stream.resumes",
     "engine.partial_store.saved",
     "engine.partial_store.resumes",
     "engine.partial_store.evictions",

@@ -210,16 +210,17 @@ class SnapshotStore:
         self._lineage_path = self.root / "lineage.jsonl"
         self._snapshot_dir.mkdir(parents=True, exist_ok=True)
         self._cache_dir.mkdir(parents=True, exist_ok=True)
-        self.commits = 0
-        self.commits_deduped = 0
-        self.checkouts = 0
-        self.verify_failures = 0
-        self.diffs = 0
-        self.cache_saves = 0
-        self.cache_loads = 0
-        self.restores = 0
-        self.replayed_updates = 0
-        self.restore_fallbacks = 0
+        self._registry = MetricsRegistry()
+        self._m_commits = self._registry.counter("snapshot.commits")
+        self._m_deduped = self._registry.counter("snapshot.commits.deduped")
+        self._m_checkouts = self._registry.counter("snapshot.checkouts")
+        self._m_verify_failures = self._registry.counter("snapshot.verify.failures")
+        self._m_diffs = self._registry.counter("snapshot.diffs")
+        self._m_cache_saves = self._registry.counter("snapshot.cache.saves")
+        self._m_cache_loads = self._registry.counter("snapshot.cache.loads")
+        self._m_restores = self._registry.counter("snapshot.restore.engines")
+        self._m_replayed = self._registry.counter("snapshot.restore.replayed_updates")
+        self._m_fallbacks = self._registry.counter("snapshot.restore.fallbacks")
 
     # ------------------------------------------------------------------ #
     # path scheme
@@ -286,7 +287,7 @@ class SnapshotStore:
         """
         snapshot_id = snapshot_id_of(dataset)
         if self._meta_path(snapshot_id).exists():
-            self.commits_deduped += 1
+            self._m_deduped.inc()
             return snapshot_id
         if parent is not None and not self._meta_path(parent).exists():
             raise SnapshotError(f"parent snapshot {parent!r} is not in the store")
@@ -316,7 +317,7 @@ class SnapshotStore:
         )
         with open(self._lineage_path, "a", encoding="utf-8") as handle:
             handle.write(line + "\n")
-        self.commits += 1
+        self._m_commits.inc()
         return snapshot_id
 
     # ------------------------------------------------------------------ #
@@ -419,25 +420,25 @@ class SnapshotStore:
                 f"dataset: {exc}"
             ) from exc
         if dataset.fingerprint() != meta.fingerprint:
-            self.verify_failures += 1
+            self._m_verify_failures.inc()
             raise SnapshotIntegrityError(
                 f"snapshot {snapshot_id!r} failed fingerprint verification: "
                 f"committed {meta.fingerprint[:12]}..., "
                 f"loaded {dataset.fingerprint()[:12]}..."
             )
-        self.checkouts += 1
+        self._m_checkouts.inc()
         return dataset
 
     def _load_array(self, path: Path, snapshot_id: str) -> np.ndarray:
         if not path.exists():
-            self.verify_failures += 1
+            self._m_verify_failures.inc()
             raise SnapshotIntegrityError(
                 f"snapshot {snapshot_id!r} is missing its payload file {path.name!r}"
             )
         try:
             return np.load(path, allow_pickle=False)
         except (OSError, ValueError) as exc:
-            self.verify_failures += 1
+            self._m_verify_failures.inc()
             raise SnapshotIntegrityError(
                 f"snapshot {snapshot_id!r} payload {path.name!r} is unreadable: {exc}"
             ) from exc
@@ -473,7 +474,7 @@ class SnapshotStore:
             UpdateRecord("insert", rid, target_rows[rid])
             for rid in sorted(target_rows.keys() - base_rows.keys())
         )
-        self.diffs += 1
+        self._m_diffs.inc()
         return SnapshotDiff(base=base, target=target, deletes=deletes, inserts=inserts)
 
     # ------------------------------------------------------------------ #
@@ -499,7 +500,7 @@ class SnapshotStore:
         saved_partials = dump_partial_entries(
             self, self._partials_path(snapshot_id), meta.fingerprint, partial_entries
         )
-        self.cache_saves += 1
+        self._m_cache_saves.inc()
         return saved_results, saved_partials
 
     def has_caches(self, snapshot_id: str) -> bool:
@@ -524,7 +525,7 @@ class SnapshotStore:
         written = dump_standing_records(
             self, self._standing_path(snapshot_id), meta.fingerprint, registrations
         )
-        self.cache_saves += 1
+        self._m_cache_saves.inc()
         return written
 
     def load_standing(self, snapshot_id: str) -> list:
@@ -538,7 +539,7 @@ class SnapshotStore:
         meta = self.meta(snapshot_id)
         records = load_standing_records(self._standing_path(snapshot_id), meta.fingerprint)
         if records:
-            self.cache_loads += 1
+            self._m_cache_loads.inc()
         return records
 
     def load_result_entries(self, snapshot_id: str) -> list:
@@ -554,7 +555,7 @@ class SnapshotStore:
         meta = self.meta(snapshot_id)
         entries = load_result_entries(self._results_path(snapshot_id), meta.fingerprint)
         if entries:
-            self.cache_loads += 1
+            self._m_cache_loads.inc()
         return entries
 
     def load_partial_entries(self, snapshot_id: str) -> list:
@@ -569,29 +570,32 @@ class SnapshotStore:
         meta = self.meta(snapshot_id)
         entries = load_partial_entries(self._partials_path(snapshot_id), meta.fingerprint)
         if entries:
-            self.cache_loads += 1
+            self._m_cache_loads.inc()
         return entries
 
     # ------------------------------------------------------------------ #
     # observability
     # ------------------------------------------------------------------ #
+    def _record_restore(self, replayed_updates: int, fallback: bool) -> None:
+        """Count one engine restore from this store.
+
+        Called by :meth:`repro.engine.Engine.from_snapshot` once per restore,
+        with the diff updates it replayed and whether it fell back to a
+        plain checkout of the replay target.
+        """
+        self._m_restores.inc()
+        self._m_replayed.inc(replayed_updates)
+        if fallback:
+            self._m_fallbacks.inc()
+
     def metrics_registry(self) -> MetricsRegistry:
-        """Every store counter under its canonical ``snapshot.*`` name."""
+        """Every store counter under its canonical ``snapshot.*`` name.
+
+        A fresh registry: the store's own counters plus the point-in-time
+        ``snapshot.store.*`` size gauges.
+        """
         registry = MetricsRegistry()
-        counters = {
-            "snapshot.commits": self.commits,
-            "snapshot.commits.deduped": self.commits_deduped,
-            "snapshot.checkouts": self.checkouts,
-            "snapshot.verify.failures": self.verify_failures,
-            "snapshot.diffs": self.diffs,
-            "snapshot.cache.saves": self.cache_saves,
-            "snapshot.cache.loads": self.cache_loads,
-            "snapshot.restore.engines": self.restores,
-            "snapshot.restore.replayed_updates": self.replayed_updates,
-            "snapshot.restore.fallbacks": self.restore_fallbacks,
-        }
-        for name, value in counters.items():
-            registry.counter(name).inc(value)
+        registry.merge(self._registry)
         registry.gauge("snapshot.store.snapshots").set(len(self.snapshot_ids()))
         registry.gauge("snapshot.store.bytes").set(self.size_bytes())
         return registry

@@ -489,16 +489,6 @@ class TestRepositoryIsClean:
 # catalogue consistency (runtime, not static)
 # --------------------------------------------------------------------------- #
 class TestCatalogueConsistency:
-    def test_legacy_aliases_resolve_into_the_catalogue(self):
-        from repro.obs.metrics import LEGACY_ALIASES
-        from repro.obs.names import ALL_METRIC_NAMES
-
-        stray = {
-            target for target in LEGACY_ALIASES.values()
-            if target not in ALL_METRIC_NAMES
-        }
-        assert not stray, f"alias targets missing from the catalogue: {sorted(stray)}"
-
     def test_engine_registry_names_are_catalogued(self):
         import numpy as np
 

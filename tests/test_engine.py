@@ -77,10 +77,11 @@ class TestEngineCorrectness:
         engine = Engine(serving_dataset)
         focal = focals[0]
         engine.query(focal, 3)
-        builds_before = engine.stats.prepared_builds
+        builds_before = engine.metrics()["engine.prepared.builds"]
         engine.query(focal, 3, bounds_mode="group")  # different cache key
-        assert engine.stats.prepared_builds == builds_before
-        assert engine.stats.prepared_reuses >= 1
+        metrics = engine.metrics()
+        assert metrics["engine.prepared.builds"] == builds_before
+        assert metrics["engine.prepared.reuses"] >= 1
 
     def test_query_validation(self, serving_dataset):
         engine = Engine(serving_dataset)

@@ -38,17 +38,17 @@ class TestResultCacheUnit:
         assert cache.get(second.key) is None
         assert cache.get(first.key) is first.result
         assert cache.get(third.key) is third.result
-        assert cache.evictions == 1
+        assert cache.registry.snapshot()["engine.result_cache.evictions"] == 1
 
     def test_apply_update_rekeys_unaffected_entries(self):
         cache = ResultCache(capacity=4)
         keep, drop = self._entry("keep"), self._entry("drop")
         cache.put(keep)
         cache.put(drop)
-        retained, dropped = cache.apply_update(
-            "fp2", lambda entry: entry.method == "drop"
-        )
-        assert (retained, dropped) == (1, 1)
+        cache.apply_update("fp2", lambda entry: entry.method == "drop")
+        metrics = cache.registry.snapshot()
+        assert metrics["engine.result_cache.rekeyed"] == 1
+        assert metrics["engine.result_cache.invalidated"] == 1
         assert keep.fingerprint == "fp2"
         assert cache.get(keep.key) is keep.result
         assert all(entry.method != "drop" for entry in cache.entries())
@@ -106,7 +106,7 @@ class TestPreciseInvalidation:
         cached = engine.query(high_focal, 2)
         engine.insert([0.40, 0.40])
         assert engine.query(high_focal, 2) is cached
-        assert engine.stats.entries_retained >= 1
+        assert engine.metrics()["engine.result_cache.rekeyed"] >= 1
 
     def test_insert_competitor_drops_entry_and_recomputes_correctly(
         self, engine, results_identical
@@ -346,7 +346,9 @@ class TestApplyUpdateExceptionSafety:
         assert len(cache) == 3
         assert all(entry.fingerprint == "fp" for entry in cache.entries())
         assert [entry.key for entry in cache.entries()] == [e.key for e in entries]
-        assert cache.invalidated == 0 and cache.rekeyed == 0
+        metrics = cache.registry.snapshot()
+        assert metrics["engine.result_cache.invalidated"] == 0
+        assert metrics["engine.result_cache.rekeyed"] == 0
         # Every entry is still served under its original key.
         for entry in entries:
             assert cache.get(entry.key) is entry.result
@@ -361,7 +363,7 @@ class TestApplyUpdateExceptionSafety:
         assert len(store) == 3
         assert all(not entry.query.closed for entry in entries)
         assert all(entry.fingerprint == "fp" for entry in store.entries())
-        assert store.invalidated == 0
+        assert store.registry.snapshot()["engine.partial_store.invalidated"] == 0
         for entry in entries:
             assert store.pop(entry.key) is entry
 
@@ -396,7 +398,9 @@ class TestCapacityEdges:
         cache.put(entry)
         assert len(cache) == 0
         assert cache.get(entry.key) is None
-        assert cache.insertions == 1 and cache.evictions == 1
+        metrics = cache.registry.snapshot()
+        assert metrics["engine.result_cache.insertions"] == 1
+        assert metrics["engine.result_cache.evictions"] == 1
 
     def test_result_cache_capacity_one_is_a_true_lru_slot(self):
         cache = ResultCache(capacity=1)
@@ -407,7 +411,7 @@ class TestCapacityEdges:
         cache.put(second)  # replaces it
         assert cache.get(first.key) is None
         assert cache.get(second.key) is second.result
-        assert cache.evictions == 1
+        assert cache.registry.snapshot()["engine.result_cache.evictions"] == 1
 
     def test_get_refreshes_recency(self):
         cache = ResultCache(capacity=2)
@@ -427,7 +431,9 @@ class TestCapacityEdges:
         store.put(entry)
         assert len(store) == 0
         assert entry.query.closed
-        assert store.saves == 1 and store.evictions == 1
+        metrics = store.registry.snapshot()
+        assert metrics["engine.partial_store.saved"] == 1
+        assert metrics["engine.partial_store.evictions"] == 1
 
     def test_partial_store_capacity_one_closes_the_displaced_checkpoint(self):
         store = PartialStore(capacity=1)

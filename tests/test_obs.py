@@ -24,7 +24,6 @@ from repro.obs import (
     NullTracer,
     Tracer,
     active_registry,
-    canonical_name,
     current_tracer,
     parse_prometheus,
     parse_trace_jsonl,
@@ -236,15 +235,6 @@ class TestMetrics:
         assert DEFAULT_LP_BUCKETS[-1] == math.inf
         assert list(DEFAULT_LP_BUCKETS) == sorted(DEFAULT_LP_BUCKETS)
 
-    def test_registry_canonicalises_legacy_names(self):
-        registry = MetricsRegistry()
-        registry.counter("cache_hits").inc(3)
-        assert canonical_name("cache_hits") == "engine.result_cache.hits"
-        assert registry.snapshot()["engine.result_cache.hits"] == 3
-        # Both spellings resolve to the same instrument.
-        registry.counter("engine.result_cache.hits").inc(1)
-        assert registry.snapshot()["engine.result_cache.hits"] == 4
-
     def test_registry_kind_conflict_raises(self):
         registry = MetricsRegistry()
         registry.counter("x")
@@ -257,10 +247,13 @@ class TestMetrics:
         a.counter("n").inc(2)
         b.counter("n").inc(3)
         b.histogram(LP_CONSTRAINTS).observe(7)
+        # A histogram new to ``a`` keeps its own (non-default) bounds.
+        b.histogram("h", bounds=(1, 2, math.inf)).observe(2)
         a.merge(b)
         snap = a.snapshot()
         assert snap["n"] == 5
         assert snap[f"{LP_CONSTRAINTS}.count"] == 1
+        assert (snap["h.bucket.1"], snap["h.bucket.2"], snap["h.count"]) == (0, 1, 1)
 
     def test_snapshot_expands_histograms_cumulatively(self):
         registry = MetricsRegistry()

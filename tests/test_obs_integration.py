@@ -7,8 +7,9 @@ Asserts the cross-cutting observability contracts:
 - the LP constraint-count histogram merged from parallel shards equals the
   serial run's (fixed buckets make the merge exact);
 - :meth:`Engine.metrics` is the canonical view over the engine's counters
-  (the legacy ``stats`` fields and the caches' own counters);
-- engine stats deltas under cache hits, prepared reuse and stream resume;
+  and the caches' own counters, each event counted once; one scripted
+  sequence pins the exact exported names and values;
+- engine metric deltas under cache hits, prepared reuse and stream resume;
 - ``cpu_seconds`` is genuinely measured (not a copy of the wall clock).
 """
 
@@ -20,7 +21,7 @@ import pytest
 from repro import Engine, Tracer, explain, use_tracer
 from repro.data import independent_dataset
 from repro.experiments import MeasuredRun
-from repro.obs import LP_CONSTRAINTS, MetricsRegistry, use_registry
+from repro.obs import LP_CONSTRAINTS, MetricsRegistry, stats_to_registry, use_registry
 
 
 @pytest.fixture
@@ -156,22 +157,21 @@ def test_shard_merged_histogram_uses_fixed_buckets(engine_dataset):
 # canonical engine metrics
 # --------------------------------------------------------------------------- #
 class TestEngineMetrics:
-    def test_metrics_mirror_legacy_accessors(self, engine):
+    def test_metrics_count_each_event_once(self, engine):
         engine.query(FOCAL, 5, method="cta")
         engine.query(FOCAL, 5, method="cta")  # cache hit
         metrics = engine.metrics()
-        stats = engine.stats
-        assert metrics["engine.queries"] == stats.queries
-        assert metrics["engine.queries.cold"] == stats.cold_queries
-        assert metrics["engine.result_cache.hits"] == stats.cache_hits == 1
+        assert metrics["engine.queries"] == 2
+        assert metrics["engine.queries.cold"] == 1
+        assert metrics["engine.result_cache.hits"] == 1
         assert metrics["engine.result_cache.misses"] == 1
         assert metrics["engine.result_cache.entries"] == 1
-        assert metrics["engine.prepared.builds"] == stats.prepared_builds == 1
-        assert metrics["engine.prepared.reuses"] == stats.prepared_reuses == 0
+        assert metrics["engine.prepared.builds"] == 1
+        assert metrics["engine.prepared.reuses"] == 0
         assert metrics["engine.prepared.entries"] == 1
         assert metrics["engine.partial_store.entries"] == 0
-        assert metrics["engine.partial_store.saved"] == stats.partials_saved == 0
-        assert metrics["engine.seconds.cold"] == stats.cold_seconds
+        assert metrics["engine.partial_store.saved"] == 0
+        assert metrics["engine.seconds.cold"] > 0.0
 
     def test_each_number_has_one_canonical_name(self, engine):
         engine.query(FOCAL, 5, method="cta")
@@ -179,6 +179,8 @@ class TestEngineMetrics:
         # No legacy flat spellings leak into the canonical snapshot.
         assert not names & {"queries", "cache_hits", "hits", "size", "saves"}
         assert all("." in name for name in names)
+        # Each event is counted by the component doing it, under one name.
+        assert not names & {"engine.stream.resumes", "engine.result_cache.retained"}
 
     def test_metrics_registry_exports_to_prometheus(self, engine):
         from repro.obs import parse_prometheus, registry_to_prometheus
@@ -186,7 +188,127 @@ class TestEngineMetrics:
         engine.query(FOCAL, 5, method="cta")
         text = registry_to_prometheus(engine.metrics_registry())
         samples = parse_prometheus(text)
-        assert samples["repro_engine_queries"] == engine.stats.queries
+        assert samples["repro_engine_queries"] == engine.metrics()["engine.queries"] == 1
+
+
+#: Point-in-time values that vary per run: checked positive, not pinned.
+_TIMINGS = {"engine.seconds.cold", "engine.seconds.prepare", "snapshot.store.bytes"}
+
+
+def _split_timings(metrics: dict) -> dict:
+    assert all(metrics[name] > 0 for name in _TIMINGS & set(metrics)), metrics
+    return {name: value for name, value in metrics.items() if name not in _TIMINGS}
+
+
+class TestExportedSurface:
+    """One scripted sequence pins every exported engine and store number."""
+
+    def test_scripted_sequence_exports_exact_counts(self, tmp_path):
+        from repro import kspr
+        from repro.index.rtree import AggregateRTree
+        from repro.index.skyline import skyline
+        from repro.snapshot import SnapshotStore
+
+        dataset = independent_dataset(160, 3, seed=11)
+        values = dataset.values
+        row = int(np.where(dataset.ids == skyline(AggregateRTree(dataset))[0])[0][0])
+        stream_focal = values[row] * 0.98
+        order = values.sum(axis=1).argsort()
+        engine = Engine(dataset, k_max=8)
+
+        engine.query(values[order[-1]] * 0.97, 2)  # miss
+        engine.query(values[order[-1]] * 0.97, 2)  # hit
+        paused = list(engine.query_stream(stream_focal, 3, max_batches=1))
+        assert not paused[-1].done
+        resumed = list(engine.query_stream(stream_focal, 3))
+        assert resumed[-1].done
+        engine.insert([0.999, 0.999, 0.999])  # dominates both cached answers
+        engine.delete(engine.dataset.next_record_id() - 1)
+        adopted_focal = values[order[-3]] * 0.97
+        answer = kspr(engine.dataset, adopted_focal, 2)
+        assert engine.adopt_result(engine.fingerprint, adopted_focal, 2, None, {}, answer)
+        store = SnapshotStore(tmp_path)
+        base = engine.commit(store)
+        engine.insert([0.02, 0.01, 0.02])
+        target = engine.commit(store)
+        restored = Engine.from_snapshot(store, base, replay_to=target, k_max=8)
+
+        assert _split_timings(engine.metrics()) == {
+            "engine.dataset.cardinality": 161,
+            "engine.partial_store.capacity": 32,
+            "engine.partial_store.entries": 0,
+            "engine.partial_store.evictions": 0,
+            "engine.partial_store.invalidated": 0,
+            "engine.partial_store.resumes": 1,
+            "engine.partial_store.saved": 1,
+            "engine.prepared.builds": 2,
+            "engine.prepared.capacity": 64,
+            "engine.prepared.entries": 0,
+            "engine.prepared.reuses": 0,
+            "engine.queries": 4,
+            "engine.queries.cold": 2,
+            "engine.result_cache.adopted": 1,
+            "engine.result_cache.capacity": 512,
+            "engine.result_cache.entries": 1,
+            "engine.result_cache.evictions": 0,
+            "engine.result_cache.hits": 1,
+            "engine.result_cache.insertions": 3,
+            "engine.result_cache.invalidated": 2,
+            "engine.result_cache.misses": 3,
+            "engine.result_cache.rekeyed": 1,
+            "engine.stream.queries": 2,
+            "engine.updates.deletes": 1,
+            "engine.updates.inserts": 2,
+        }
+        restored_metrics = restored.metrics()
+        assert restored_metrics.pop("engine.seconds.cold") == 0
+        assert _split_timings(restored_metrics) == {
+            "engine.dataset.cardinality": 161,
+            "engine.partial_store.capacity": 32,
+            "engine.partial_store.entries": 0,
+            "engine.partial_store.evictions": 0,
+            "engine.partial_store.invalidated": 0,
+            "engine.partial_store.resumes": 0,
+            "engine.partial_store.saved": 0,
+            "engine.prepared.builds": 0,
+            "engine.prepared.capacity": 64,
+            "engine.prepared.entries": 0,
+            "engine.prepared.reuses": 0,
+            "engine.queries": 0,
+            "engine.queries.cold": 0,
+            "engine.result_cache.adopted": 0,
+            "engine.result_cache.capacity": 512,
+            "engine.result_cache.entries": 1,
+            "engine.result_cache.evictions": 0,
+            "engine.result_cache.hits": 0,
+            "engine.result_cache.insertions": 1,
+            "engine.result_cache.invalidated": 0,
+            "engine.result_cache.misses": 0,
+            "engine.result_cache.rekeyed": 1,
+            "engine.stream.queries": 0,
+            "engine.updates.deletes": 0,
+            "engine.updates.inserts": 1,
+        }
+        assert _split_timings(store.metrics()) == {
+            "snapshot.cache.loads": 1,
+            "snapshot.cache.saves": 2,
+            "snapshot.checkouts": 3,
+            "snapshot.commits": 2,
+            "snapshot.commits.deduped": 0,
+            "snapshot.diffs": 1,
+            "snapshot.restore.engines": 1,
+            "snapshot.restore.fallbacks": 0,
+            "snapshot.restore.replayed_updates": 1,
+            "snapshot.store.snapshots": 2,
+            "snapshot.verify.failures": 0,
+        }
+
+    def test_drained_stream_charges_cold_seconds(self, engine):
+        snapshots = list(engine.query_stream(FOCAL, 5))
+        assert snapshots[-1].done
+        metrics = engine.metrics()
+        assert metrics["engine.queries.cold"] == 1
+        assert metrics["engine.seconds.cold"] > 0.0
 
 
 # --------------------------------------------------------------------------- #
@@ -224,12 +346,11 @@ class TestStatsDeltas:
         mid = engine.metrics()
         assert mid["engine.stream.queries"] - before["engine.stream.queries"] == 1
         assert mid["engine.partial_store.saved"] - before["engine.partial_store.saved"] == 1
-        assert mid["engine.stream.resumes"] == before["engine.stream.resumes"]
+        assert mid["engine.partial_store.resumes"] == before["engine.partial_store.resumes"]
 
         finished = list(engine.query_stream(FOCAL, 5))
         assert finished[-1].done
         after = engine.metrics()
-        assert after["engine.stream.resumes"] - mid["engine.stream.resumes"] == 1
         assert after["engine.partial_store.resumes"] - mid["engine.partial_store.resumes"] == 1
         assert after["engine.queries.cold"] - mid["engine.queries.cold"] == 1
 
@@ -266,12 +387,16 @@ class TestCpuSeconds:
     def test_measured_run_is_view_over_registry(self, engine):
         result = engine.query(FOCAL, 6, method="lpcta")
         run = MeasuredRun.from_result("lpcta", result)
-        snapshot = run.as_registry().snapshot()
+        snapshot = stats_to_registry(result.stats).snapshot()
         assert snapshot["query.seconds.response"] == run.metrics["response_seconds"]
         assert snapshot["query.seconds.cpu"] == run.metrics["cpu_seconds"]
+        assert snapshot["query.seconds.index_build"] == run.metrics["index_build_seconds"]
         assert snapshot["query.processed_records"] == run.metrics["processed_records"]
-        # Derived quantities without a canonical alias pass through unchanged.
-        assert snapshot["space_mb"] == run.metrics["space_mb"]
+        assert snapshot["query.celltree.nodes"] == run.metrics["celltree_nodes"]
+        assert snapshot["query.lp.total_constraints"] == run.metrics["lp_constraints"]
+        assert snapshot["query.batches"] == run.metrics["batches"]
+        # Derived quantities are computed from the canonical values.
+        assert run.metrics["space_mb"] == snapshot["query.space_bytes"] / (1024.0 * 1024.0)
 
     def test_approx_result_reports_cpu_seconds(self):
         dataset = independent_dataset(1500, 3, seed=77)

@@ -229,7 +229,7 @@ def test_expired_deadline_rejects_at_admission_not_mid_query(small_engine):
     engine = small_engine
     service = KSPRService(engine, ServeConfig(worker_threads=2))
     focal = [float(v) for v in engine.dataset.values[0]]
-    before = engine.stats.queries
+    before = engine.metrics()["engine.queries"]
 
     async def go():
         request = parse_request(
@@ -245,7 +245,7 @@ def test_expired_deadline_rejects_at_admission_not_mid_query(small_engine):
         await service.close()
 
     asyncio.run(go())
-    assert engine.stats.queries == before, (
+    assert engine.metrics()["engine.queries"] == before, (
         "an expired deadline must be shed at admission, before any engine work"
     )
     assert service.admission.counters["rejected.deadline_expired"] == 2
@@ -262,9 +262,9 @@ def test_engine_level_absolute_deadline_truncates_into_checkpoint(small_engine):
     # checkpointed instead of serving a truncated answer as complete.
     assert all(not snapshot.done for snapshot in snapshots)
     assert engine.metrics()["engine.partial_store.entries"] == 1
-    assert engine.stats.partials_saved == 1
+    assert engine.metrics()["engine.partial_store.saved"] == 1
     final = list(engine.query_stream(focal, 2))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.partial_store.resumes"] == 1
 
 
 def test_stream_budget_min_combines_relative_and_absolute_deadlines():

@@ -86,7 +86,8 @@ class TestWarmRestore:
         engine.query(focal, K)
         assert engine.commit(store) == sid  # unchanged state dedupes...
         assert len(store.load_result_entries(sid)) == 1  # ...caches refresh
-        assert store.commits == 1 and store.commits_deduped == 1
+        metrics = store.metrics()
+        assert metrics["snapshot.commits"] == 1 and metrics["snapshot.commits.deduped"] == 1
 
 
 class TestRestartProcessBoundary:
@@ -126,7 +127,7 @@ class TestRestartProcessBoundary:
             # 2. the persisted stream checkpoint resumes and completes.
             assert engine.metrics()["engine.partial_store.entries"] == 1
             final = list(engine.query_stream(focal, k + 1))[-1]
-            assert final.done and engine.stats.stream_resumes == 1
+            assert final.done and engine.metrics()["engine.partial_store.resumes"] == 1
             assert_results_identical(final.to_result(), cold.query(focal, k + 1))
             print("ROUNDTRIP-OK")
             """
@@ -159,7 +160,7 @@ class TestStreamRestore:
         assert restored.metrics()["engine.partial_store.entries"] == 1
         resumed = list(restored.query_stream(focal, K))
         assert resumed[-1].done
-        assert restored.stats.stream_resumes == 1
+        assert restored.metrics()["engine.partial_store.resumes"] == 1
         assert restored.metrics()["engine.partial_store.entries"] == 0
         cold = Engine(dataset, k_max=8).query(focal, K)
         assert_results_identical(resumed[-1].to_result(), cold)
@@ -179,7 +180,7 @@ class TestStreamRestore:
         # A bracket-reading caller must NOT resume the no-capture recipe —
         # the same contract a live checkpoint honours.
         final = list(restored.query_stream(focal, K))[-1]
-        assert final.done and restored.stats.stream_resumes == 0
+        assert final.done and restored.metrics()["engine.partial_store.resumes"] == 0
         # The dropped recipe is gone; a no-capture caller would now run cold.
         assert restored.metrics()["engine.partial_store.entries"] == 0
 
@@ -262,7 +263,7 @@ class TestDiffReplayInvalidation:
         forged = store.commit(rogue)
         restored = Engine.from_snapshot(store, before, replay_to=forged)
         assert restored.fingerprint == rogue.fingerprint()
-        assert store.restore_fallbacks == 1
+        assert store.metrics()["snapshot.restore.fallbacks"] == 1
         assert restored.committed_snapshot == forged
         # The fallback engine is cache-cold but fully correct.
         assert restored.metrics()["engine.result_cache.entries"] == 0
@@ -280,7 +281,7 @@ class TestDiffReplayInvalidation:
             Dataset(values, ids=ids, name=engine.dataset.name, id_high_watermark=6)
         )
         restored = Engine.from_snapshot(store, before, replay_to=forged)
-        assert store.restore_fallbacks == 1
+        assert store.metrics()["snapshot.restore.fallbacks"] == 1
         assert restored.committed_snapshot == forged
         assert restored.fingerprint == store.checkout(forged).fingerprint()
 

@@ -42,8 +42,9 @@ class TestCommitCheckout:
         # An independently constructed dataset with identical identity state
         # lands on the same snapshot without writing anything new.
         assert store.commit(_dataset()) == sid
-        assert store.commits == 1
-        assert store.commits_deduped == 1
+        metrics = store.metrics()
+        assert metrics["snapshot.commits"] == 1
+        assert metrics["snapshot.commits.deduped"] == 1
         assert store.commit(_dataset(seed=1)) != sid
 
     def test_snapshot_id_covers_watermark_but_not_parent(self, store):
@@ -176,7 +177,7 @@ class TestCrashSafety:
         (store.root / "snapshots" / f"{sid}.ids.npy").unlink()
         with pytest.raises(SnapshotIntegrityError):
             store.checkout(sid)
-        assert store.verify_failures == 1
+        assert store.metrics()["snapshot.verify.failures"] == 1
 
     def test_garbage_payload_fails_closed(self, store):
         sid = store.commit(_dataset())
@@ -196,7 +197,7 @@ class TestCrashSafety:
         )
         with pytest.raises(SnapshotIntegrityError, match="fingerprint"):
             store.checkout(sid)
-        assert store.verify_failures == 1
+        assert store.metrics()["snapshot.verify.failures"] == 1
 
 
 class TestCachePersistence:

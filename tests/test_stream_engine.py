@@ -75,8 +75,8 @@ def test_completed_stream_installs_result_cache_entry(case):
     assert engine.query(focal, K) is final, (
         "a completed stream must serve subsequent query() calls as a cache hit"
     )
-    assert engine.stats.cache_hits == 1
-    assert engine.stats.stream_queries == 1
+    assert engine.metrics()["engine.result_cache.hits"] == 1
+    assert engine.metrics()["engine.stream.queries"] == 1
 
 
 def test_cached_result_streams_as_single_terminal_snapshot(case):
@@ -97,7 +97,7 @@ def test_truncated_stream_checkpoints_and_resumes_identically(case):
 
     resumed = list(engine.query_stream(focal, K))
     assert resumed[-1].done
-    assert engine.stats.stream_resumes == 1
+    assert engine.metrics()["engine.partial_store.resumes"] == 1
     assert engine.metrics()["engine.partial_store.entries"] == 0
 
     cold = fresh_engine(dataset).query(focal, K)
@@ -124,7 +124,7 @@ def test_abandoning_the_iterator_checkpoints_too(case):
     iterator.close()
     assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.partial_store.resumes"] == 1
     assert_results_identical(final.to_result(), fresh_engine(dataset).query(focal, K))
 
 
@@ -147,7 +147,7 @@ def test_sharded_query_stream_resumes_identically(case):
     first = list(engine.query_stream(focal, K, method="cta", workers=2, max_batches=1))
     assert first and not first[-1].done
     final = list(engine.query_stream(focal, K, method="cta", workers=2))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.partial_store.resumes"] == 1
     assert_results_identical(
         final.to_result(), fresh_engine(dataset).query(focal, K, method="cta")
     )
@@ -234,14 +234,13 @@ def test_capture_mismatch_declines_stale_checkpoint(case):
     # The bracket-requesting caller recomputes instead of silently getting
     # frontier-less snapshots with the trivial upper bound.
     snapshots = list(engine.query_stream(focal, K))
-    assert engine.stats.stream_resumes == 0
-    assert engine.metrics()["engine.partial_store.resumes"] == 0  # the store agrees: nothing resumed
+    assert engine.metrics()["engine.partial_store.resumes"] == 0  # nothing resumed
     assert any(snapshot.frontier for snapshot in snapshots[:-1])
     # The cheap direction resumes: a capture=True checkpoint serves anyone.
     engine2 = fresh_engine(dataset)
     list(engine2.query_stream(focal, K, max_batches=1))
     final = list(engine2.query_stream(focal, K, capture=False))[-1]
-    assert final.done and engine2.stats.stream_resumes == 1
+    assert final.done and engine2.metrics()["engine.partial_store.resumes"] == 1
 
 
 def test_zero_progress_bracket_is_trivial_not_collapsed(case):
@@ -305,10 +304,10 @@ def test_affected_update_drops_partial_checkpoint(case):
     assert engine.metrics()["engine.partial_store.entries"] == 1
     engine.insert(dataset.values.max(axis=0) * 1.1)  # dominates the focal
     assert engine.metrics()["engine.partial_store.entries"] == 0
-    assert engine.stats.partials_invalidated == 1
+    assert engine.metrics()["engine.partial_store.invalidated"] == 1
     # The re-issued stream recomputes cold against the new state.
     final = list(engine.query_stream(focal, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 0
+    assert final.done and engine.metrics()["engine.partial_store.resumes"] == 0
     assert_results_identical(final.to_result(), fresh_engine(engine.dataset).query(focal, K))
 
 
@@ -319,7 +318,7 @@ def test_unaffected_update_keeps_partial_checkpoint_resumable(case):
     engine.insert(np.asarray(focal) * 0.5)  # dominated by the focal: rule 1
     assert engine.metrics()["engine.partial_store.entries"] == 1
     final = list(engine.query_stream(focal, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.partial_store.resumes"] == 1
     assert_results_identical(final.to_result(), fresh_engine(engine.dataset).query(focal, K))
 
 
@@ -334,7 +333,7 @@ def test_partial_store_eviction_closes_checkpoints(case):
     assert metrics["engine.partial_store.evictions"] == 1
     # The evicted query recomputes from scratch; the retained one resumes.
     final = list(engine.query_stream(other, K))[-1]
-    assert final.done and engine.stats.stream_resumes == 1
+    assert final.done and engine.metrics()["engine.partial_store.resumes"] == 1
 
 
 # --------------------------------------------------------------------- #
@@ -395,7 +394,7 @@ def test_run_anytime_truncation_then_rerun_resumes(case):
     assert partial is not None and not partial.done
     rerun = QueryBatch(engine).run_anytime([(focal, K)])
     assert rerun.outcomes[0].completed
-    assert engine.stats.stream_resumes == 1
+    assert engine.metrics()["engine.partial_store.resumes"] == 1
     assert_results_identical(
         rerun.outcomes[0].result, fresh_engine(dataset).query(focal, K)
     )

@@ -371,9 +371,9 @@ class MetricNameRule(Rule):
     id = "OBS001"
     title = "metric names come from the canonical catalogue"
     rationale = (
-        "PR 6's contract is one canonical dotted name per number; a "
-        "literal invented at a call site dodges the catalogue, the "
-        "exporters, and the LEGACY_ALIASES migration."
+        "The contract is one canonical dotted name per number, spelled "
+        "where the instrument is created; a literal invented at a call "
+        "site dodges the catalogue and the exporters."
     )
 
     def __init__(self, catalogue: MetricCatalogue | None = None) -> None:
@@ -390,8 +390,7 @@ class MetricNameRule(Rule):
     def applies_to(self, ctx: FileContext) -> bool:
         if not ctx.in_package("repro") or ctx.is_test_file():
             return False
-        # The catalogue itself and the metrics module's internal plumbing
-        # (canonical_name, _get_or_create) define names, not use them.
+        # The catalogue itself defines names, it does not use them.
         if ctx.path.name == "names.py" and ctx.in_package("repro", "obs"):
             return False
         return self.catalogue is not None
